@@ -66,14 +66,6 @@ int main(int argc, char** argv) {
   config.pb_weighted_by_hosts = flags.get_bool("level_k", false);
   config.tcp_downloads = static_cast<int>(flags.get_int("tcp_downloads", 0));
   config.benign_probe_rate = flags.get_double("probe_rate", 0.0);
-  const std::string scheduler = flags.get_string("scheduler", "heap");
-  if (scheduler == "calendar") {
-    config.scheduler = sim::SchedulerKind::kCalendar;
-  } else if (scheduler != "heap") {
-    std::fprintf(stderr, "unknown --scheduler '%s' (heap|calendar)\n",
-                 scheduler.c_str());
-    return 1;
-  }
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const std::string csv = flags.get_string("csv", "");
   // Causal tracing: --trace=run.json (Perfetto / chrome://tracing) or

@@ -25,7 +25,7 @@ namespace hbp::scenario {
 StringResult run_string_experiment(const StringExperimentConfig& config,
                                    std::uint64_t seed) {
   const auto wall_start = std::chrono::steady_clock::now();
-  sim::Simulator simulator(config.scheduler);
+  sim::Simulator simulator;
   if (config.profile) simulator.enable_profiling();
   net::Network network(simulator);
   std::unique_ptr<trace::Tracer> tracer;

@@ -9,7 +9,6 @@
 #include <optional>
 #include <string>
 
-#include "sim/event_queue.hpp"
 #include "telemetry/report.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -31,9 +30,6 @@ struct StringExperimentConfig {
   double control_loss_probability = 0.0;  // lossy control plane
   double horizon_seconds = 2000.0;   // give up after this long
   bool profile = false;              // event-loop profiling (observational)
-  // Pending-event-set backend; both realise the same (time, seq) total
-  // order, so the trace digest is identical under either.
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap;
   // Causal tracing (src/trace): export every span event here after the run
   // (".csv" => CSV, else Chrome/Perfetto JSON).  Observational — digests
   // are bit-identical with tracing on or off.

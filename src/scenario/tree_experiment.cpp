@@ -45,7 +45,7 @@ TreeResult run_tree_experiment(const TreeExperimentConfig& config,
              static_cast<int>(config.tree.leaf_count));
 
   const auto wall_start = std::chrono::steady_clock::now();
-  sim::Simulator simulator(config.scheduler);
+  sim::Simulator simulator;
   if (config.profile) simulator.enable_profiling();
   net::Network network(simulator);
   std::unique_ptr<trace::Tracer> tracer;

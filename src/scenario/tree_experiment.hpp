@@ -88,10 +88,6 @@ struct TreeExperimentConfig {
   // checker's failure diagnostic.
   std::size_t trace_flight = 256;
 
-  // Pending-event-set backend; both realise the same (time, seq) total
-  // order, so the trace digest is identical under either.
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap;
-
   // Defense knobs.
   core::HbpParams hbp;
   double hbp_deploy_fraction = 1.0;  // <1 => random partial deployment

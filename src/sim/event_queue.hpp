@@ -1,23 +1,16 @@
 // Pending-event set for the discrete-event engine.
 //
-// Two scheduler backends behind one interface, selectable per run:
+// A binary min-heap of 24-byte index records keyed on (time, insertion
+// sequence): events fire in time order and equal times fire in the order
+// they were pushed, so a run's trace digest is a pure function of the model.
 //
-//  - kBinaryHeap: a binary min-heap of 24-byte index records keyed on
-//    (time, insertion sequence).
-//  - kCalendar: a calendar queue (Brown 1988) — a power-of-two ring of
-//    day-buckets, each kept sorted by (time, insertion sequence), with the
-//    bucket count and width re-tuned as the population changes.
-//
-// Both backends realise the exact same total order — events fire by (time,
-// insertion sequence) — so a run's trace digest is byte-identical under
-// either; the golden regression tests pin that down.
-//
-// Event closures themselves never move through the ordering structure: they
-// live in a slab of recycled slots addressed by the index records, and ids
-// carry a per-slot generation so stale ids and stale index records are
-// rejected in O(1).  Steady-state push/pop/cancel performs zero heap
-// allocations once the slab and the ordering structure have reached their
-// peak size.
+// Event closures themselves never move through the heap: they live in a
+// slab of recycled slots addressed by the index records, and ids carry a
+// per-slot generation so stale ids and stale index records are rejected in
+// O(1).  Cancellation frees the slot at once; its record is dropped when it
+// surfaces, or swept in bulk once stale records outnumber live ones.
+// Steady-state push/pop/cancel performs zero heap allocations once the slab
+// and the heap have reached their peak size.
 #pragma once
 
 #include <cstdint>
@@ -30,16 +23,12 @@ namespace hbp::sim {
 
 using EventId = std::uint64_t;
 
-enum class SchedulerKind : std::uint8_t { kBinaryHeap, kCalendar };
-
 class EventQueue {
  public:
-  explicit EventQueue(SchedulerKind kind = SchedulerKind::kBinaryHeap);
+  EventQueue() = default;
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
-
-  SchedulerKind kind() const { return kind_; }
 
   // Returns an id usable with cancel().  `label` is an optional static
   // string naming the event type for the loop profiler (scheduling sites
@@ -71,10 +60,10 @@ class EventQueue {
   // Slots ever created; bounded by the peak number of concurrently pending
   // events (slots recycle through a free list, never accumulate).
   std::size_t slot_capacity() const { return slots_.size(); }
-  // Index records still inside the ordering structure, live + stale.
-  // Stale records (from cancellations) are dropped when they surface and
-  // compacted away whenever they outnumber the live ones.
-  std::size_t backlog_items() const;
+  // Index records still inside the heap, live + stale.  Stale records (from
+  // cancellations) are dropped when they surface and compacted away
+  // whenever they outnumber the live ones.
+  std::size_t backlog_items() const { return heap_.size(); }
   std::size_t stale_items() const { return stale_count_; }
 
  private:
@@ -84,12 +73,15 @@ class EventQueue {
     std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t gen;
+  };
 
-    bool operator<(const Item& o) const {
-      if (at_ns != o.at_ns) return at_ns < o.at_ns;
-      return seq < o.seq;
+  // Heap comparator: the std heap algorithms keep the greatest element on
+  // top, so "fires later" is "less" and the earliest (time, seq) surfaces.
+  struct Later {
+    bool operator()(const Item& a, const Item& b) const {
+      if (a.at_ns != b.at_ns) return a.at_ns > b.at_ns;
+      return a.seq > b.seq;
     }
-    bool operator>(const Item& o) const { return o < *this; }
   };
 
   struct Slot {
@@ -111,30 +103,12 @@ class EventQueue {
   void release_slot(std::uint32_t idx);
   void maybe_compact();
 
-  // Removes and returns the earliest live item (backend dispatch).
+  // Pops stale records off the top until a live one (or nothing) is left.
+  void prune_top() const;
+  // Removes and returns the earliest live item.
   Item take_min();
   // Earliest live item without removing it.
   const Item& peek_min() const;
-
-  // --- binary-heap backend ---
-  void heap_insert(const Item& it);
-  void heap_prune_top() const;
-  void heap_compact();
-
-  // --- calendar backend ---
-  void cal_insert(const Item& it);
-  void cal_rebuild(std::size_t bucket_count);
-  void cal_position(std::int64_t at_ns) const;
-  // Locates the bucket holding the minimum live item; returns nullptr when
-  // no live item exists.  Prunes stale bucket fronts as it scans.
-  const Item* cal_find_min() const;
-  std::size_t cal_bucket_of(std::int64_t at_ns) const {
-    return static_cast<std::size_t>(
-               static_cast<std::uint64_t>(at_ns) >> cal_shift_) &
-           (cal_buckets_.size() - 1);
-  }
-
-  SchedulerKind kind_;
 
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoFree;
@@ -143,14 +117,6 @@ class EventQueue {
   mutable std::size_t stale_count_ = 0;
 
   mutable std::vector<Item> heap_;
-
-  mutable std::vector<std::vector<Item>> cal_buckets_;
-  mutable std::size_t cal_items_ = 0;       // live + stale records stored
-  std::uint32_t cal_shift_ = 20;            // bucket width = 2^shift ns
-  mutable std::size_t cal_cursor_ = 0;      // current day bucket
-  mutable std::int64_t cal_bucket_top_ = 0;  // upper time bound of cursor day
-  mutable std::size_t cal_found_ = 0;       // bucket located by peek
-  mutable bool cal_found_valid_ = false;
 };
 
 }  // namespace hbp::sim

@@ -28,13 +28,11 @@ namespace hbp::sim {
 
 class Simulator {
  public:
-  explicit Simulator(SchedulerKind scheduler = SchedulerKind::kBinaryHeap)
-      : queue_(scheduler) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   SimTime now() const { return now_; }
-  SchedulerKind scheduler() const { return queue_.kind(); }
 
   // `label` names the event type for the loop profiler; pass a string
   // literal (the pointer is stored, not the contents).

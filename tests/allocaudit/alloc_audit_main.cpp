@@ -99,10 +99,9 @@ void count_delivery(const hbp::sim::Packet&) { ++g_delivered; }
 // Returns the number of heap allocations observed during a 5-simulated-
 // second measurement window after a 3-second warm-up, plus the packet-hop
 // count of the window via out-params.
-std::uint64_t audit_backend(hbp::sim::SchedulerKind kind,
-                            std::uint64_t* hops_out) {
+std::uint64_t audit_window(std::uint64_t* hops_out) {
   using namespace hbp;
-  sim::Simulator simulator(kind);
+  sim::Simulator simulator;
   net::Network network(simulator);
   topo::StringParams params;
   params.hops = 6;
@@ -123,8 +122,8 @@ std::uint64_t audit_backend(hbp::sim::SchedulerKind kind,
                             rng, cbr, [dst] { return dst; });
   source.start();
 
-  // Warm-up: ring buffers, the event slab, and the scheduler structure all
-  // reach their steady-state capacity here.
+  // Warm-up: ring buffers, the event slab, and the event heap all reach
+  // their steady-state capacity here.
   simulator.run_until(sim::SimTime::seconds(3));
 
   const std::uint64_t delivered_before = g_delivered;
@@ -152,27 +151,22 @@ int main() {
   return 77;
 #else
   bool ok = true;
-  for (const auto kind : {hbp::sim::SchedulerKind::kBinaryHeap,
-                          hbp::sim::SchedulerKind::kCalendar}) {
-    std::uint64_t hops = 0;
-    const std::uint64_t allocs = audit_backend(kind, &hops);
-    const char* name =
-        kind == hbp::sim::SchedulerKind::kBinaryHeap ? "binary-heap" : "calendar";
-    std::printf("%s: %llu packet hops, %llu heap allocations in window\n",
-                name, static_cast<unsigned long long>(hops),
-                static_cast<unsigned long long>(allocs));
-    if (hops < 10000) {
-      std::fprintf(stderr, "FAIL(%s): window too small (%llu hops)\n", name,
-                   static_cast<unsigned long long>(hops));
-      ok = false;
-    }
-    if (allocs != 0) {
-      std::fprintf(stderr,
-                   "FAIL(%s): steady-state packet path allocated %llu times "
-                   "(expected 0)\n",
-                   name, static_cast<unsigned long long>(allocs));
-      ok = false;
-    }
+  std::uint64_t hops = 0;
+  const std::uint64_t allocs = audit_window(&hops);
+  std::printf("%llu packet hops, %llu heap allocations in window\n",
+              static_cast<unsigned long long>(hops),
+              static_cast<unsigned long long>(allocs));
+  if (hops < 10000) {
+    std::fprintf(stderr, "FAIL: window too small (%llu hops)\n",
+                 static_cast<unsigned long long>(hops));
+    ok = false;
+  }
+  if (allocs != 0) {
+    std::fprintf(stderr,
+                 "FAIL: steady-state packet path allocated %llu times "
+                 "(expected 0)\n",
+                 static_cast<unsigned long long>(allocs));
+    ok = false;
   }
   return ok ? 0 : 1;
 #endif

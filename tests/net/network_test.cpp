@@ -115,6 +115,33 @@ TEST_F(TwoHostsFixture, HopDistance) {
   EXPECT_EQ(network.hop_distance(a->id(), b->address()), 2);
   EXPECT_EQ(network.hop_distance(router->id(), b->address()), 1);
   EXPECT_EQ(network.hop_distance(b->id(), b->address()), 0);
+
+  // A tree input, plus an island host that no route reaches: top has
+  // children r1 and r2, r1 has hosts h1 and h2, r2 has host h3.
+  Network tree(simulator);
+  auto& top = tree.add_node<Router>("top");
+  auto& r1 = tree.add_node<Router>("r1");
+  auto& r2 = tree.add_node<Router>("r2");
+  auto& h1 = tree.add_node<Host>("h1");
+  auto& h2 = tree.add_node<Host>("h2");
+  auto& h3 = tree.add_node<Host>("h3");
+  auto& island = tree.add_node<Host>("island");
+  tree.connect(top.id(), r1.id(), LinkParams{});
+  tree.connect(top.id(), r2.id(), LinkParams{});
+  tree.connect(r1.id(), h1.id(), LinkParams{});
+  tree.connect(r1.id(), h2.id(), LinkParams{});
+  tree.connect(r2.id(), h3.id(), LinkParams{});
+  for (Host* h : {&h1, &h2, &h3, &island}) {
+    h->set_address(tree.assign_address(h->id()));
+  }
+  tree.compute_routes();
+  EXPECT_EQ(tree.hop_distance(h1.id(), h3.address()), 4);
+  EXPECT_EQ(tree.hop_distance(h1.id(), h2.address()), 2);
+  EXPECT_EQ(tree.hop_distance(top.id(), h1.address()), 2);
+  EXPECT_EQ(tree.hop_distance(r2.id(), h3.address()), 1);
+  EXPECT_EQ(tree.hop_distance(h3.id(), h3.address()), 0);
+  EXPECT_EQ(tree.hop_distance(h1.id(), island.address()), -1);
+  EXPECT_EQ(tree.hop_distance(island.id(), h1.address()), -1);
 }
 
 TEST_F(TwoHostsFixture, CountersConserve) {

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include "sim/trace_digest.hpp"
@@ -97,143 +96,112 @@ TEST(EventQueue, CancelledEventsSkippedAmongLive) {
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
+// How far past the forward-moving clock a push lands.  kTied packs pushes
+// within 100 ns so equal times (and with them the insertion-sequence tie
+// break) are common; kNear clusters them within 1 ms, kFar within 1 s and
+// kHuge within 1000 s; kMixed draws each push 60/30/10 from near/far/huge,
+// so clusters and far outliers share one heap.
+enum class PushShape : std::uint8_t { kTied, kNear, kFar, kHuge, kMixed };
+
+std::int64_t push_gap(PushShape shape, util::Rng& rng) {
+  if (shape == PushShape::kMixed) {
+    const auto pick = rng.below(10);
+    shape = pick < 6 ? PushShape::kNear
+                     : (pick < 9 ? PushShape::kFar : PushShape::kHuge);
+  }
+  std::uint64_t bound = 100;
+  if (shape == PushShape::kNear) bound = 1'000'000;
+  if (shape == PushShape::kFar) bound = 1'000'000'000;
+  if (shape == PushShape::kHuge) bound = 1'000'000'000'000;
+  return static_cast<std::int64_t>(rng.below(bound));
+}
+
 // Reference-model property test: random interleavings of push/pop/cancel
-// behave exactly like a sorted multimap model, under both backends.
+// against a plain list of (time, seq) entries.  Every pop must return the
+// model's exact minimum entry — same time AND same payload — and the popped
+// stream, folded into a TraceDigest as the simulator folds dispatches, must
+// equal the model's stream.
 class EventQueueModelSweep
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, SchedulerKind>> {
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, PushShape>> {
 };
 
 TEST_P(EventQueueModelSweep, MatchesReferenceModel) {
   util::Rng rng(std::get<0>(GetParam()));
-  EventQueue q(std::get<1>(GetParam()));
-  // Model: (time, seq) -> id, mirroring the queue's ordering contract.
-  std::vector<std::tuple<std::int64_t, std::uint64_t, EventId>> model;
+  const PushShape shape = std::get<1>(GetParam());
+  EventQueue q;
+  struct Entry {
+    std::int64_t at;
+    std::uint64_t seq;  // doubles as the payload
+    EventId id;
+  };
+  std::vector<Entry> model;
+  std::vector<EventId> ids;  // every id ever issued, live or not
+  std::vector<std::uint64_t> popped;
+  TraceDigest queue_digest;
+  TraceDigest model_digest;
   std::uint64_t seq = 0;
-  std::vector<EventId> live_ids;
+  std::int64_t clock = 0;  // pops only move forward from here
 
-  for (int step = 0; step < 2000; ++step) {
+  const auto pop_one = [&] {
+    ASSERT_EQ(q.empty(), model.empty());
+    if (model.empty()) return;
+    const auto best = std::min_element(
+        model.begin(), model.end(), [](const Entry& a, const Entry& b) {
+          return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+        });
+    ASSERT_EQ(q.next_time().nanos(), best->at);
+    auto ev = q.pop();
+    ev.fn();
+    ASSERT_EQ(ev.at.nanos(), best->at);
+    ASSERT_EQ(popped.back(), best->seq);
+    queue_digest.fold(ev.at, TraceKind::kEvent, -1, popped.back());
+    model_digest.fold(SimTime(best->at), TraceKind::kEvent, -1, best->seq);
+    clock = best->at;
+    model.erase(best);
+  };
+
+  for (int step = 0; step < 5000; ++step) {
     const auto op = rng.below(10);
-    if (op < 5) {  // push
-      const auto t = static_cast<std::int64_t>(rng.below(100));
-      const EventId id = q.push(SimTime(t), [] {});
-      model.emplace_back(t, seq++, id);
-      live_ids.push_back(id);
-    } else if (op < 8) {  // pop
-      ASSERT_EQ(q.empty(), model.empty());
-      if (model.empty()) continue;
-      const auto best = std::min_element(model.begin(), model.end());
-      const auto ev = q.pop();
-      ASSERT_EQ(ev.at.nanos(), std::get<0>(*best));
-      model.erase(best);
+    if (op < 5) {  // push, never in the past
+      const std::int64_t t = clock + push_gap(shape, rng);
+      const std::uint64_t payload = seq++;
+      const EventId id =
+          q.push(SimTime(t), [&popped, payload] { popped.push_back(payload); });
+      model.push_back({t, payload, id});
+      ids.push_back(id);
+    } else if (op < 8) {
+      ASSERT_NO_FATAL_FAILURE(pop_one());
     } else {  // cancel a random (possibly stale) id
-      if (live_ids.empty()) continue;
-      const EventId id = live_ids[rng.below(live_ids.size())];
-      const bool in_model =
-          std::find_if(model.begin(), model.end(), [&](const auto& e) {
-            return std::get<2>(e) == id;
-          }) != model.end();
-      ASSERT_EQ(q.cancel(id), in_model);
-      if (in_model) {
-        model.erase(std::find_if(model.begin(), model.end(), [&](const auto& e) {
-          return std::get<2>(e) == id;
-        }));
-      }
+      if (ids.empty()) continue;
+      const EventId id = ids[rng.below(ids.size())];
+      const auto it = std::find_if(model.begin(), model.end(),
+                                   [&](const Entry& e) { return e.id == id; });
+      ASSERT_EQ(q.cancel(id), it != model.end());
+      if (it != model.end()) model.erase(it);
     }
     ASSERT_EQ(q.size(), model.size());
   }
+  while (!model.empty()) {
+    ASSERT_NO_FATAL_FAILURE(pop_one());
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_GT(popped.size(), 1000u);
+  EXPECT_EQ(queue_digest.value(), model_digest.value());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, EventQueueModelSweep,
     ::testing::Combine(::testing::Values(1, 2, 3, 4),
-                       ::testing::Values(SchedulerKind::kBinaryHeap,
-                                         SchedulerKind::kCalendar)));
-
-// Twin-scheduler stress: drive a binary-heap queue and a calendar queue
-// with the identical randomized op sequence (pushes over a wide, clustered
-// time range to force calendar rebuilds; random cancels; interleaved pops)
-// and require the exact same pop sequence — time AND payload — from both.
-// The popped stream is also folded into a TraceDigest per queue, mirroring
-// what the simulator pins in the golden tests.
-class TwinSchedulerStress : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(TwinSchedulerStress, IdenticalPopOrderAndDigest) {
-  util::Rng rng(GetParam());
-  EventQueue heap(SchedulerKind::kBinaryHeap);
-  EventQueue cal(SchedulerKind::kCalendar);
-  ASSERT_EQ(heap.kind(), SchedulerKind::kBinaryHeap);
-  ASSERT_EQ(cal.kind(), SchedulerKind::kCalendar);
-
-  std::vector<int> heap_payloads;
-  std::vector<int> cal_payloads;
-  std::vector<std::pair<EventId, EventId>> live;  // parallel (heap, cal) ids
-  TraceDigest heap_digest;
-  TraceDigest cal_digest;
-  std::int64_t clock = 0;  // pops only move forward from here
-  int next_payload = 0;
-
-  const auto pop_both = [&] {
-    ASSERT_EQ(heap.empty(), cal.empty());
-    if (heap.empty()) return;
-    ASSERT_EQ(heap.next_time(), cal.next_time());
-    auto a = heap.pop();
-    auto b = cal.pop();
-    ASSERT_EQ(a.at, b.at);
-    a.fn();
-    b.fn();
-    ASSERT_EQ(heap_payloads, cal_payloads);
-    heap_digest.fold(a.at, TraceKind::kEvent, -1, heap_payloads.size());
-    cal_digest.fold(b.at, TraceKind::kEvent, -1, cal_payloads.size());
-    clock = a.at.nanos();
-  };
-
-  for (int step = 0; step < 20000; ++step) {
-    const auto op = rng.below(100);
-    if (op < 55) {  // push, never in the past
-      // Mix of near-future clusters and far-flung outliers so the calendar
-      // backend grows, shrinks, rewinds, and re-tunes its bucket width.
-      std::int64_t t = clock;
-      const auto shape = rng.below(10);
-      if (shape < 6) {
-        t += static_cast<std::int64_t>(rng.below(1'000'000));  // same day-ish
-      } else if (shape < 9) {
-        t += static_cast<std::int64_t>(rng.below(1'000'000'000));  // far
-      } else {
-        t += static_cast<std::int64_t>(rng.below(1'000'000'000'000));  // huge
-      }
-      const int payload = next_payload++;
-      const EventId ha = heap.push(
-          SimTime(t), [&heap_payloads, payload] { heap_payloads.push_back(payload); });
-      const EventId ca = cal.push(
-          SimTime(t), [&cal_payloads, payload] { cal_payloads.push_back(payload); });
-      live.emplace_back(ha, ca);
-    } else if (op < 80) {  // pop
-      pop_both();
-    } else {  // cancel a random (possibly stale) id pair
-      if (live.empty()) continue;
-      const auto idx = rng.below(live.size());
-      const auto [ha, ca] = live[idx];
-      ASSERT_EQ(heap.cancel(ha), cal.cancel(ca));
-    }
-    ASSERT_EQ(heap.size(), cal.size());
-  }
-  while (!heap.empty()) pop_both();
-  EXPECT_EQ(heap_payloads, cal_payloads);
-  EXPECT_EQ(heap_digest.value(), cal_digest.value());
-  EXPECT_GT(heap_payloads.size(), 1000u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, TwinSchedulerStress,
-                         ::testing::Values(11, 22, 33));
+                       ::testing::Values(PushShape::kTied, PushShape::kNear,
+                                         PushShape::kFar, PushShape::kHuge,
+                                         PushShape::kMixed)));
 
 // Lazy cancellation must not let bookkeeping grow without bound: stale
 // ordering records are compacted once they outnumber the live ones, and
 // slots recycle through the free list instead of accumulating.
-class BoundedCancelState : public ::testing::TestWithParam<SchedulerKind> {};
-
-TEST_P(BoundedCancelState, CancelChurnStaysBounded) {
+TEST(EventQueue, CancelChurnStaysBounded) {
   util::Rng rng(5);
-  EventQueue q(GetParam());
+  EventQueue q;
   constexpr std::size_t kBatch = 200;
   std::vector<EventId> ids;
   for (int round = 0; round < 300; ++round) {
@@ -258,10 +226,6 @@ TEST_P(BoundedCancelState, CancelChurnStaysBounded) {
     ASSERT_LE(q.backlog_items(), std::max<std::size_t>(64, q.size()));
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Kinds, BoundedCancelState,
-                         ::testing::Values(SchedulerKind::kBinaryHeap,
-                                           SchedulerKind::kCalendar));
 
 TEST(EventQueue, StressRandomOrdering) {
   util::Rng rng(77);

@@ -59,6 +59,61 @@ TEST(Flags, HasDetectsPresence) {
   EXPECT_FALSE(flags.has("y"));
 }
 
+TEST(Flags, FalseBoolFormsAndNegativeNumbers) {
+  auto flags = make_flags({"--a=false", "--b=0", "--c=no", "--n=-5", "--x=-2.5e3"});
+  EXPECT_FALSE(flags.get_bool("a", true));
+  EXPECT_FALSE(flags.get_bool("b", true));
+  EXPECT_FALSE(flags.get_bool("c", true));
+  EXPECT_EQ(flags.get_int("n", 0), -5);
+  EXPECT_DOUBLE_EQ(flags.get_double("x", 0.0), -2500.0);
+}
+
+// A value the getter cannot parse in full exits 2 naming the flag, the way
+// an unknown flag does, instead of running on a silent 0.
+TEST(FlagsDeathTest, RejectsMalformedInt) {
+  EXPECT_EXIT(make_flags({"--leaves=abc"}).get_int("leaves", 300),
+              ::testing::ExitedWithCode(2), "bad value for --leaves: 'abc'");
+  EXPECT_EXIT(make_flags({"--leaves=12x"}).get_int("leaves", 300),
+              ::testing::ExitedWithCode(2), "bad value for --leaves: '12x'");
+  EXPECT_EXIT(make_flags({"--leaves=2.5"}).get_int("leaves", 300),
+              ::testing::ExitedWithCode(2), "bad value for --leaves: '2.5'");
+}
+
+TEST(FlagsDeathTest, RejectsOutOfRangeNumbers) {
+  EXPECT_EXIT(make_flags({"--seed=99999999999999999999"}).get_int("seed", 1),
+              ::testing::ExitedWithCode(2),
+              "bad value for --seed: '99999999999999999999'");
+  EXPECT_EXIT(make_flags({"--rate=1e99999"}).get_double("rate", 1.0),
+              ::testing::ExitedWithCode(2), "bad value for --rate: '1e99999'");
+}
+
+TEST(FlagsDeathTest, RejectsEmptyAndTrailingGarbage) {
+  EXPECT_EXIT(make_flags({"--rate="}).get_double("rate", 1.0),
+              ::testing::ExitedWithCode(2), "bad value for --rate: ''");
+  EXPECT_EXIT(make_flags({"--rate=1.5s"}).get_double("rate", 1.0),
+              ::testing::ExitedWithCode(2), "bad value for --rate: '1.5s'");
+  EXPECT_EXIT(make_flags({"--n="}).get_int("n", 1),
+              ::testing::ExitedWithCode(2), "bad value for --n: ''");
+}
+
+TEST(FlagsDeathTest, RejectsUnknownBoolSpelling) {
+  EXPECT_EXIT(make_flags({"--progressive=maybe"}).get_bool("progressive", true),
+              ::testing::ExitedWithCode(2),
+              "bad value for --progressive: 'maybe'");
+  EXPECT_EXIT(make_flags({"--progressive=on"}).get_bool("progressive", true),
+              ::testing::ExitedWithCode(2),
+              "bad value for --progressive: 'on'");
+}
+
+TEST(FlagsDeathTest, RejectsMalformedListItem) {
+  EXPECT_EXIT(make_flags({"--sweep=1,x,3"}).get_double_list("sweep", {}),
+              ::testing::ExitedWithCode(2), "bad value for --sweep: '1,x,3'");
+  EXPECT_EXIT(make_flags({"--sweep=1,,3"}).get_double_list("sweep", {}),
+              ::testing::ExitedWithCode(2), "bad value for --sweep: '1,,3'");
+  EXPECT_EXIT(make_flags({"--sweep="}).get_double_list("sweep", {}),
+              ::testing::ExitedWithCode(2), "bad value for --sweep: ''");
+}
+
 TEST(Table, NumFormatting) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(static_cast<long long>(42)), "42");
