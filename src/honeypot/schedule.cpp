@@ -33,7 +33,13 @@ std::uint64_t seed_from_key(const util::Digest& key) {
 RoamingSchedule::RoamingSchedule(std::shared_ptr<const HashChain> chain,
                                  int n_servers, int k_active,
                                  sim::SimTime epoch_length)
-    : chain_(std::move(chain)), n_(n_servers), k_(k_active), m_(epoch_length) {
+    : chain_(std::move(chain)),
+      n_(n_servers),
+      k_(k_active),
+      m_(epoch_length),
+      words_((static_cast<std::size_t>(n_servers) + 63) / 64),
+      masks_(kSlots * words_),
+      draw_(static_cast<std::size_t>(n_servers)) {
   HBP_ASSERT(chain_ != nullptr);
   HBP_ASSERT(n_ >= 1);
   HBP_ASSERT(k_ >= 1 && k_ <= n_);
@@ -47,22 +53,38 @@ std::uint64_t RoamingSchedule::epoch_seed(std::size_t epoch) const {
   return seed_from_key(chain_->key(idx));
 }
 
-std::vector<int> RoamingSchedule::active_servers(std::size_t epoch) const {
+const std::uint64_t* RoamingSchedule::active_mask(std::size_t epoch) const {
   HBP_ASSERT(epoch >= 1);
+  const std::size_t slot = epoch % kSlots;
+  std::uint64_t* mask = masks_.data() + slot * words_;
+  if (slot_epoch_[slot] == epoch) return mask;
+
+  // The same draw as Rng::choose(n, k) over the epoch's key.
+  for (std::size_t i = 0; i < draw_.size(); ++i) draw_[i] = i;
   util::Rng rng(epoch_seed(epoch));
-  const auto chosen = rng.choose(static_cast<std::size_t>(n_),
-                                 static_cast<std::size_t>(k_));
+  rng.partial_shuffle(draw_, static_cast<std::size_t>(k_));
+  std::fill(mask, mask + words_, std::uint64_t{0});
+  for (std::size_t i = 0; i < static_cast<std::size_t>(k_); ++i) {
+    mask[draw_[i] / 64] |= std::uint64_t{1} << (draw_[i] % 64);
+  }
+  slot_epoch_[slot] = epoch;
+  return mask;
+}
+
+std::vector<int> RoamingSchedule::active_servers(std::size_t epoch) const {
+  const std::uint64_t* mask = active_mask(epoch);
   std::vector<int> out;
-  out.reserve(chosen.size());
-  for (std::size_t c : chosen) out.push_back(static_cast<int>(c));
-  std::sort(out.begin(), out.end());
+  out.reserve(static_cast<std::size_t>(k_));
+  for (int s = 0; s < n_; ++s) {
+    if ((mask[s / 64] >> (s % 64)) & 1) out.push_back(s);
+  }
   return out;
 }
 
 bool RoamingSchedule::is_active(int server, std::size_t epoch) const {
   HBP_ASSERT(server >= 0 && server < n_);
-  const auto active = active_servers(epoch);
-  return std::binary_search(active.begin(), active.end(), server);
+  const std::uint64_t* mask = active_mask(epoch);
+  return ((mask[server / 64] >> (server % 64)) & 1) != 0;
 }
 
 BernoulliSchedule::BernoulliSchedule(std::shared_ptr<const HashChain> chain,

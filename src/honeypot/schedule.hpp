@@ -6,6 +6,7 @@
 // the same active set; an outside attacker cannot predict it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -53,10 +54,22 @@ class RoamingSchedule final : public Schedule {
  private:
   std::uint64_t epoch_seed(std::size_t epoch) const;
 
+  // The active set of `epoch` as an n-bit mask, drawn on first use and
+  // memoised per epoch.  ServerPool asks for epochs e-1, e and e+1 around
+  // the current time, so a few slots keyed by epoch never thrash.  All
+  // storage is sized in the constructor: a lookup never allocates.
+  const std::uint64_t* active_mask(std::size_t epoch) const;
+
+  static constexpr std::size_t kSlots = 4;
+
   std::shared_ptr<const HashChain> chain_;
   int n_;
   int k_;
   sim::SimTime m_;
+  std::size_t words_;  // 64-bit words per mask
+  mutable std::array<std::size_t, kSlots> slot_epoch_{};  // 0: empty
+  mutable std::vector<std::uint64_t> masks_;  // kSlots * words_
+  mutable std::vector<std::size_t> draw_;     // n_ indices for the draw
 };
 
 // Single-server schedule where each epoch is independently a honeypot epoch

@@ -30,6 +30,8 @@ class Link {
   // Hands a packet to the link; it is queued and serialized in order.
   void send(sim::Packet&& p);
 
+  // Port on the receiving node at which this link's packets arrive.
+  int to_port() const { return to_port_; }
   double capacity_bps() const { return capacity_bps_; }
   sim::SimTime delay() const { return delay_; }
   PacketQueue& queue() { return *queue_; }

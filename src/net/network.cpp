@@ -1,6 +1,7 @@
 #include "net/network.hpp"
 
-#include <deque>
+#include <algorithm>
+#include <cstdint>
 #include <string>
 
 #include "telemetry/registry.hpp"
@@ -40,47 +41,68 @@ sim::NodeId Network::node_of(sim::Address a) const {
 void Network::compute_routes() {
   const std::size_t n = nodes_.size();
   const std::size_t m = addr_to_node_.size();
-  routes_.assign(n, std::vector<std::int32_t>(m, -1));
 
-  // One BFS per destination address, rooted at the destination host.  The
-  // next hop from v toward the root is v's BFS parent; the out-port is the
-  // port of that parent neighbor (first match for determinism).
-  std::vector<std::int32_t> dist(n);
-  std::deque<sim::NodeId> frontier;
-  for (std::size_t ai = 0; ai < m; ++ai) {
-    const sim::NodeId root = addr_to_node_[ai];
-    dist.assign(n, -1);
-    dist[static_cast<std::size_t>(root)] = 0;
-    frontier.clear();
-    frontier.push_back(root);
-    while (!frontier.empty()) {
-      const sim::NodeId u = frontier.front();
-      frontier.pop_front();
-      const Node& nu = node(u);
-      for (std::size_t port = 0; port < nu.neighbors_.size(); ++port) {
-        const sim::NodeId v = nu.neighbors_[port];
-        if (dist[static_cast<std::size_t>(v)] != -1) continue;
-        dist[static_cast<std::size_t>(v)] = dist[static_cast<std::size_t>(u)] + 1;
-        // Next hop from v toward root is u; find v's port to u.
-        const Node& nv = node(v);
-        for (std::size_t vport = 0; vport < nv.neighbors_.size(); ++vport) {
-          if (nv.neighbors_[vport] == u) {
-            routes_[static_cast<std::size_t>(v)][ai] =
-                static_cast<std::int32_t>(vport);
-            break;
-          }
-        }
-        frontier.push_back(v);
-      }
+  adj_begin_.assign(n + 1, 0);
+  adj_.clear();
+  for (std::size_t u = 0; u < n; ++u) {
+    const Node& nu = *nodes_[u];
+    HBP_ASSERT_MSG(nu.port_count() <= INT16_MAX, "port index must fit int16");
+    for (std::size_t port = 0; port < nu.port_count(); ++port) {
+      adj_.push_back({nu.neighbor(port),
+                      static_cast<std::int16_t>(links_[u][port]->to_port())});
+    }
+    adj_begin_[u + 1] = static_cast<std::uint32_t>(adj_.size());
+  }
+
+  column_of_.assign(m, -1);
+  // Default-initialised: pages of columns never built are never touched.
+  routes_.reset(new std::int16_t[n * m]);
+  columns_built_ = 0;
+  bfs_queue_.resize(n);
+  route_nodes_ = n;
+  routes_valid_ = true;
+}
+
+std::int32_t Network::build_column(std::size_t ai) const {
+  const std::size_t n = route_nodes_;
+  const std::int32_t slot = columns_built_++;
+  std::int16_t* col = routes_.get() + static_cast<std::size_t>(slot) * n;
+  std::fill(col, col + n, std::int16_t{-1});
+
+  // One BFS rooted at the destination host.  The next hop from v toward the
+  // root is v's BFS parent u; v's out-port is the peer port of the first
+  // port of u that reaches v.  connect() numbers the ports of both ends in
+  // call order, so that is also v's first port to u (parallel links).
+  // A node is visited once its entry is not -1; the root is marked -2
+  // while the search runs.
+  const sim::NodeId root = addr_to_node_[ai];
+  col[root] = -2;
+  std::size_t head = 0;
+  std::size_t tail = 0;
+  bfs_queue_[tail++] = root;
+  while (head < tail) {
+    const sim::NodeId u = bfs_queue_[head++];
+    for (std::uint32_t i = adj_begin_[static_cast<std::size_t>(u)];
+         i < adj_begin_[static_cast<std::size_t>(u) + 1]; ++i) {
+      const PortPeer& e = adj_[i];
+      if (col[e.node] != -1) continue;
+      col[e.node] = e.peer_port;
+      bfs_queue_[tail++] = e.node;
     }
   }
-  routes_valid_ = true;
+  col[root] = -1;
+  column_of_[ai] = slot;
+  return slot;
 }
 
 int Network::route_port(sim::NodeId from, sim::Address dst) const {
   HBP_ASSERT_MSG(routes_valid_, "compute_routes() must run before forwarding");
   HBP_ASSERT(dst >= 1 && dst <= addr_to_node_.size());
-  return routes_[static_cast<std::size_t>(from)][dst - 1];
+  HBP_ASSERT(from >= 0 && static_cast<std::size_t>(from) < route_nodes_);
+  std::int32_t slot = column_of_[dst - 1];
+  if (slot < 0) slot = build_column(dst - 1);
+  return routes_[static_cast<std::size_t>(slot) * route_nodes_ +
+                 static_cast<std::size_t>(from)];
 }
 
 int Network::hop_distance(sim::NodeId from, sim::Address dst) const {

@@ -1,8 +1,12 @@
 // The Network owns every node and link, assigns addresses, computes static
 // shortest-path routes, and moves packets between links and nodes.
 //
-// Routing is recomputed once after topology construction (the paper's
-// scenarios are static trees); routers then answer next-hop lookups in O(1).
+// Routing is prepared once after topology construction (the paper's
+// scenarios are static trees).  Routes are built lazily, one destination at
+// a time: the first lookup toward an address runs one BFS that fills that
+// destination's column for every node, and every later lookup is one load.
+// A fig8 run reads about 80 of its ~300 destinations, so most columns are
+// never built and their memory is never touched.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +55,10 @@ class Network {
   // Assigns the next free address to `node` (hosts only).
   sim::Address assign_address(sim::NodeId node);
 
-  // Computes next-hop routing tables for all currently assigned addresses.
-  // Must be called after the topology is final and before traffic starts.
+  // Prepares next-hop routing for all currently assigned addresses: the
+  // port adjacency and the (unbuilt) route storage.  Must be called after
+  // the topology is final and before traffic starts; call it again after
+  // adding nodes, links or addresses.
   void compute_routes();
 
   // --- lookups ---
@@ -66,7 +72,9 @@ class Network {
   sim::NodeId node_of(sim::Address a) const;
   std::size_t address_count() const { return addr_to_node_.size(); }
 
-  // Out-port of `from` toward address `dst`, or -1 if unreachable.
+  // Out-port of `from` toward address `dst`, or -1 if unreachable.  The
+  // first lookup toward `dst` builds its route column (no allocation);
+  // lookups are therefore not safe to run concurrently on one Network.
   int route_port(sim::NodeId from, sim::Address dst) const;
 
   // Hop distance between a node and an address (router hops + host links),
@@ -125,8 +133,30 @@ class Network {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::vector<std::unique_ptr<Link>>> links_;  // [node][port]
   std::vector<sim::NodeId> addr_to_node_;  // index == address - 1
-  // routes_[node][address - 1] = out port toward that address (-1 none).
-  std::vector<std::vector<std::int32_t>> routes_;
+  // Port adjacency for the route BFS, flattened by node: the ports of node
+  // u are [adj_begin_[u], adj_begin_[u + 1]), each holding the neighbour
+  // and the neighbour's port back to u (the other half of connect()'s pair).
+  struct PortPeer {
+    sim::NodeId node;
+    std::int16_t peer_port;
+  };
+  std::vector<std::uint32_t> adj_begin_;
+  std::vector<PortPeer> adj_;
+
+  // Builds the route column toward address index `ai`; returns its slot.
+  std::int32_t build_column(std::size_t ai) const;
+
+  // Lazily built, destination-major routes: column_of_[address - 1] is the
+  // slot of that destination's column in routes_ (-1 until first lookup),
+  // and routes_[slot * node_count() + node] is the node's out-port toward
+  // it (-1 none).  Slots are handed out in lookup order, so only built
+  // columns touch memory; the storage is reserved by compute_routes() for
+  // the route_nodes_ nodes that existed then.
+  std::size_t route_nodes_ = 0;
+  mutable std::vector<std::int32_t> column_of_;
+  mutable std::unique_ptr<std::int16_t[]> routes_;
+  mutable std::int32_t columns_built_ = 0;
+  mutable std::vector<sim::NodeId> bfs_queue_;  // BFS work queue, node_count()
   bool routes_valid_ = false;
   std::uint64_t uid_counter_ = 0;
   Counters counters_;

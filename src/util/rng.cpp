@@ -30,9 +30,7 @@ std::vector<std::size_t> Rng::choose(std::size_t n, std::size_t k) {
   HBP_ASSERT(k <= n);
   std::vector<std::size_t> idx(n);
   for (std::size_t i = 0; i < n; ++i) idx[i] = i;
-  for (std::size_t i = 0; i < k; ++i) {
-    std::swap(idx[i], idx[i + below(n - i)]);
-  }
+  partial_shuffle(idx, k);
   idx.resize(k);
   return idx;
 }

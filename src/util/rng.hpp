@@ -103,6 +103,17 @@ class Rng {
   // Choose k distinct indices out of n (reservoir-free partial shuffle).
   std::vector<std::size_t> choose(std::size_t n, std::size_t k);
 
+  // The partial Fisher-Yates shuffle behind choose(): moves k uniformly
+  // drawn entries of `idx` into idx[0, k).  choose(n, k) is this over
+  // 0..n-1, so callers with their own buffer draw the same k without
+  // allocating.
+  void partial_shuffle(std::span<std::size_t> idx, std::size_t k) {
+    HBP_ASSERT(k <= idx.size());
+    for (std::size_t i = 0; i < k; ++i) {
+      std::swap(idx[i], idx[i + below(idx.size() - i)]);
+    }
+  }
+
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -1,8 +1,14 @@
 #include "util/sha256.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/assert.hpp"
+#include "util/sha256_impl.hpp"
+
+#ifdef HBP_SHA256_HAVE_SHANI
+#include <immintrin.h>
+#endif
 
 namespace hbp::util {
 
@@ -23,60 +29,153 @@ constexpr std::array<std::uint32_t, 64> kK = {
 
 std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+detail::Sha256Compress select_compress() {
+#ifdef HBP_SHA256_HAVE_SHANI
+  if (detail::shani_supported()) return &detail::sha256_compress_shani;
+#endif
+  return &detail::sha256_compress_portable;
+}
+
 }  // namespace
+
+namespace detail {
+
+void sha256_compress_portable(std::uint32_t* state, const std::uint8_t* blocks,
+                              std::size_t n_blocks) {
+  for (; n_blocks > 0; --n_blocks, blocks += 64) {
+    std::array<std::uint32_t, 64> w;
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(blocks[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(blocks[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(blocks[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(blocks[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a; state[1] += b; state[2] += c; state[3] += d;
+    state[4] += e; state[5] += f; state[6] += g; state[7] += h;
+  }
+}
+
+#ifdef HBP_SHA256_HAVE_SHANI
+// Intel SHA extensions.  The state lives in two registers as ABEF and CDGH;
+// each 4-word message group W_i feeds two sha256rnds2 (four rounds), and
+// groups 4..15 come from the previous four with msg1/msg2.
+__attribute__((target("sha,sse4.1"))) void sha256_compress_shani(
+    std::uint32_t* state, const std::uint8_t* blocks, std::size_t n_blocks) {
+  const __m128i byteswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  dcba = _mm_shuffle_epi32(dcba, 0xB1);                // CDAB
+  hgfe = _mm_shuffle_epi32(hgfe, 0x1B);                // EFGH
+  __m128i abef = _mm_alignr_epi8(dcba, hgfe, 8);       // ABEF
+  __m128i cdgh = _mm_blend_epi16(hgfe, dcba, 0xF0);    // CDGH
+
+  for (; n_blocks > 0; --n_blocks, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];  // w[i & 3] holds message group W_i
+    for (int i = 0; i < 16; ++i) {
+      __m128i m;
+      if (i < 4) {
+        m = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
+            byteswap);
+      } else {
+        // W_i = msg2(msg1(W_{i-4}, W_{i-3}) + (W_{i-2}:W_{i-1} >> 32), W_{i-1})
+        const __m128i prev = w[(i + 3) & 3];
+        m = _mm_sha256msg1_epu32(w[i & 3], w[(i + 1) & 3]);
+        m = _mm_add_epi32(m, _mm_alignr_epi8(prev, w[(i + 2) & 3], 4));
+        m = _mm_sha256msg2_epu32(m, prev);
+      }
+      w[i & 3] = m;
+      __m128i wk = _mm_add_epi32(
+          m, _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * i])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);  // FEBA
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);  // DCHG
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));  // DCBA
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));     // HGFE
+}
+
+bool shani_supported() {
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+}
+#else
+bool shani_supported() { return false; }
+#endif
+
+}  // namespace detail
 
 Sha256::Sha256()
     : h_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
          0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::array<std::uint32_t, 64> w;
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  std::uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  h_[0] += a; h_[1] += b; h_[2] += c; h_[3] += d;
-  h_[4] += e; h_[5] += f; h_[6] += g; h_[7] += h;
+void Sha256::process_blocks(const std::uint8_t* blocks, std::size_t n_blocks) {
+  static const detail::Sha256Compress compress = select_compress();
+  compress(h_.data(), blocks, n_blocks);
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
   HBP_ASSERT(!finished_);
+  if (data.empty()) return;
   total_len_ += data.size();
-  for (std::uint8_t byte : data) {
-    buffer_[buffer_len_++] = byte;
-    if (buffer_len_ == 64) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
+  const std::uint8_t* in = data.data();
+  std::size_t left = data.size();
+  if (buffer_len_ > 0) {
+    const std::size_t take = std::min(left, 64 - buffer_len_);
+    std::memcpy(buffer_.data() + buffer_len_, in, take);
+    buffer_len_ += take;
+    in += take;
+    left -= take;
+    if (buffer_len_ < 64) return;
+    process_blocks(buffer_.data(), 1);
+    buffer_len_ = 0;
   }
+  // Whole blocks straight from the input; only the tail is buffered.
+  if (left >= 64) {
+    process_blocks(in, left / 64);
+    in += left / 64 * 64;
+    left %= 64;
+  }
+  if (left > 0) std::memcpy(buffer_.data(), in, left);
+  buffer_len_ = left;
 }
 
 void Sha256::update(std::string_view s) {
@@ -88,22 +187,20 @@ Digest Sha256::finish() {
   HBP_ASSERT(!finished_);
   finished_ = true;
 
-  const std::uint64_t bit_len = total_len_ * 8;
   // Padding: 0x80, zeros up to offset 56 (mod 64), then the 64-bit
   // big-endian message length in bits.
-  auto push = [this](std::uint8_t byte) {
-    buffer_[buffer_len_++] = byte;
-    if (buffer_len_ == 64) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
-  };
-  push(0x80);
-  while (buffer_len_ != 56) push(0x00);
-  for (int i = 7; i >= 0; --i) {
-    push(static_cast<std::uint8_t>(bit_len >> (8 * i)));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    process_blocks(buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  HBP_ASSERT(buffer_len_ == 0);
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  const std::uint64_t bit_len = total_len_ * 8;
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  process_blocks(buffer_.data(), 1);
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

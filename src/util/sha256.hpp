@@ -3,6 +3,10 @@
 // Used by the roaming-honeypots hash chain (one-way key chain, Section 4 of
 // the paper) and for authenticating inter-AS honeypot request/cancel
 // messages (Section 5.3, "Message security").
+//
+// Whole blocks are compressed straight from the input, by the CPU's SHA-NI
+// instructions where it has them and by portable rounds otherwise (see
+// util/sha256_impl.hpp); both give the same digests.
 #pragma once
 
 #include <array>
@@ -29,7 +33,9 @@ class Sha256 {
   static Digest hash(std::string_view s);
 
  private:
-  void process_block(const std::uint8_t* block);
+  // Runs the compression function picked once per process (SHA-NI when
+  // the CPU has it, else portable) over whole 64-byte blocks.
+  void process_blocks(const std::uint8_t* blocks, std::size_t n_blocks);
 
   std::array<std::uint32_t, 8> h_;
   std::array<std::uint8_t, 64> buffer_{};

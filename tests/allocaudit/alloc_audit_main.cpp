@@ -6,7 +6,10 @@
 // measurement window performs ZERO heap allocations — every packet hop
 // (host send, router forward, link queue, serialize/deliver events, receive)
 // must run entirely on recycled storage: in-place sim::Event closures, the
-// event-queue slab, and warm ring buffers.
+// event-queue slab, and warm ring buffers.  A second window asserts the
+// same for route lookups (Network::route_port builds a destination's column
+// on first lookup, into storage compute_routes() reserved) and roaming
+// active-set queries (RoamingSchedule::is_active memoises per epoch).
 //
 // Only meaningful in Release builds (debug-mode containers and iterator
 // bookkeeping allocate) and without sanitizers (ASan interposes the
@@ -15,6 +18,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -83,13 +87,18 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
+#include "honeypot/hash_chain.hpp"
+#include "honeypot/schedule.hpp"
 #include "net/host.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "topo/string_topo.hpp"
+#include "topo/tree.hpp"
 #include "traffic/cbr.hpp"
 #include "util/rng.hpp"
 
+// The audit runs only where main() calls it: Release and no ASan.
+#if defined(NDEBUG) && !HBP_UNDER_ASAN
 namespace {
 
 std::uint64_t g_delivered = 0;
@@ -138,7 +147,46 @@ std::uint64_t audit_window(std::uint64_t* hops_out) {
   return allocs;
 }
 
+// Allocations of lookups that only read or fill storage reserved up front:
+// every route column of a 60-leaf tree after one lookup has prepared them,
+// and the roaming active sets of 2000 epochs of a 70-server schedule after
+// its first query.
+std::uint64_t audit_lookups() {
+  using namespace hbp;
+  sim::Simulator simulator;
+  net::Network network(simulator);
+  util::Rng topo_rng(5);
+  topo::TreeParams tree;
+  tree.leaf_count = 60;
+  topo::build_tree(network, topo_rng, tree);
+  network.compute_routes();
+  (void)network.route_port(0, 1);
+
+  const auto chain = std::make_shared<honeypot::HashChain>(
+      util::Sha256::hash("allocaudit"), 512);
+  const honeypot::RoamingSchedule schedule(chain, 70, 35,
+                                           sim::SimTime::seconds(10));
+  (void)schedule.is_active(0, 1);
+
+  const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+  int sink = 0;
+  for (std::size_t v = 0; v < network.node_count(); ++v) {
+    for (std::size_t a = 1; a <= network.address_count(); ++a) {
+      sink += network.route_port(static_cast<sim::NodeId>(v),
+                                 static_cast<sim::Address>(a));
+    }
+  }
+  for (std::size_t e = 1; e <= 2000; ++e) {
+    for (int s = 0; s < 70; ++s) sink += schedule.is_active(s, e) ? 1 : 0;
+  }
+  const std::uint64_t allocs =
+      g_allocs.load(std::memory_order_relaxed) - allocs_before;
+  std::printf("route/schedule lookups checksum %d\n", sink);
+  return allocs;
+}
+
 }  // namespace
+#endif
 
 int main() {
 #if !defined(NDEBUG)
@@ -166,6 +214,16 @@ int main() {
                  "FAIL: steady-state packet path allocated %llu times "
                  "(expected 0)\n",
                  static_cast<unsigned long long>(allocs));
+    ok = false;
+  }
+  const std::uint64_t lookup_allocs = audit_lookups();
+  std::printf("%llu heap allocations in route and schedule lookups\n",
+              static_cast<unsigned long long>(lookup_allocs));
+  if (lookup_allocs != 0) {
+    std::fprintf(stderr,
+                 "FAIL: route_port / is_active allocated %llu times after "
+                 "first use (expected 0)\n",
+                 static_cast<unsigned long long>(lookup_allocs));
     ok = false;
   }
   return ok ? 0 : 1;

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace hbp::honeypot {
 namespace {
@@ -116,6 +122,73 @@ INSTANTIATE_TEST_SUITE_P(NK, ScheduleFairness,
                                            std::make_pair(8, 4),
                                            std::make_pair(10, 7),
                                            std::make_pair(3, 2)));
+
+// The memoised active sets against the plain draw: for each epoch, the k
+// servers Rng::choose(N, k) picks under the seed of key K_i, where i wraps
+// around the chain.  Epochs run over two chain lengths, queried forward,
+// backward and in random (epoch, server) order so the memo slots are
+// filled, reused and evicted in every pattern.
+enum class QueryOrder { kForward, kBackward, kRandom };
+
+class ScheduleMemo
+    : public ::testing::TestWithParam<std::tuple<std::pair<int, int>, QueryOrder>> {};
+
+TEST_P(ScheduleMemo, IsActiveMatchesDirectDraw) {
+  const auto [nk, order] = GetParam();
+  const auto [n, k] = nk;
+  constexpr std::size_t kChainLength = 40;
+  const auto short_chain =
+      std::make_shared<HashChain>(util::Sha256::hash("memo"), kChainLength);
+  RoamingSchedule s(short_chain, n, k, sim::SimTime::seconds(10));
+
+  const std::size_t epochs = 2 * kChainLength;
+  auto expected = [&](std::size_t e) {
+    const util::Digest& key = short_chain->key((e - 1) % kChainLength + 1);
+    std::uint64_t seed = 0;
+    for (int i = 0; i < 8; ++i) seed = (seed << 8) | key[static_cast<std::size_t>(i)];
+    util::Rng rng(seed);
+    std::vector<bool> active(static_cast<std::size_t>(n), false);
+    for (const std::size_t c : rng.choose(static_cast<std::size_t>(n),
+                                          static_cast<std::size_t>(k))) {
+      active[c] = true;
+    }
+    return active;
+  };
+
+  std::vector<std::pair<std::size_t, int>> queries;
+  for (std::size_t e = 1; e <= epochs; ++e) {
+    for (int srv = 0; srv < n; ++srv) queries.emplace_back(e, srv);
+  }
+  if (order == QueryOrder::kBackward) {
+    std::reverse(queries.begin(), queries.end());
+  } else if (order == QueryOrder::kRandom) {
+    util::Rng shuffle_rng(7);
+    shuffle_rng.shuffle(queries);
+  }
+
+  for (const auto& [e, srv] : queries) {
+    const std::vector<bool> want = expected(e);
+    ASSERT_EQ(s.is_active(srv, e), want[static_cast<std::size_t>(srv)])
+        << "epoch " << e << " server " << srv;
+    if (srv == 0) {
+      const std::vector<int> active = s.active_servers(e);
+      ASSERT_EQ(active.size(), static_cast<std::size_t>(k));
+      for (const int a : active) {
+        ASSERT_TRUE(want[static_cast<std::size_t>(a)]) << "epoch " << e;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NKOrder, ScheduleMemo,
+    ::testing::Combine(::testing::Values(std::make_pair(5, 3),
+                                         std::make_pair(5, 5),
+                                         std::make_pair(64, 1),
+                                         std::make_pair(70, 35)),
+                       ::testing::Values(QueryOrder::kForward,
+                                         QueryOrder::kBackward,
+                                         QueryOrder::kRandom)));
 
 TEST(BernoulliSchedule, FrequencyMatchesP) {
   BernoulliSchedule s(chain(), 0.3, sim::SimTime::seconds(10));

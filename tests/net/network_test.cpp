@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "net/host.hpp"
 #include "net/router.hpp"
 #include "net/switch_node.hpp"
 #include "sim/simulator.hpp"
+#include "topo/string_topo.hpp"
+#include "topo/tree.hpp"
+#include "util/rng.hpp"
 
 namespace hbp::net {
 namespace {
@@ -222,6 +230,188 @@ TEST(Network, RoutesPickShortestPath) {
   // r1's port toward b is the r2 port (shorter branch).
   const int port = network.route_port(r1.id(), b.address());
   EXPECT_EQ(r1.neighbor(static_cast<std::size_t>(port)), r2.id());
+}
+
+// --- lazy routes against an eager oracle ---
+//
+// eager_routes is the all-pairs routing Network used to build up front:
+// one BFS per destination, neighbours in port order, and v's out-port is
+// the first port of v that reaches its BFS parent.  The lazy route_port
+// must agree with it on every (node, destination) pair, asked in random
+// order so columns are built in every order.
+
+std::vector<std::vector<int>> eager_routes(const Network& network) {
+  const std::size_t n = network.node_count();
+  const std::size_t m = network.address_count();
+  std::vector<std::vector<int>> routes(n, std::vector<int>(m, -1));
+  std::vector<int> dist(n);
+  std::deque<sim::NodeId> frontier;
+  for (std::size_t ai = 0; ai < m; ++ai) {
+    const sim::NodeId root = network.node_of(static_cast<sim::Address>(ai + 1));
+    dist.assign(n, -1);
+    dist[static_cast<std::size_t>(root)] = 0;
+    frontier.assign(1, root);
+    while (!frontier.empty()) {
+      const sim::NodeId u = frontier.front();
+      frontier.pop_front();
+      const Node& nu = network.node(u);
+      for (std::size_t port = 0; port < nu.port_count(); ++port) {
+        const sim::NodeId v = nu.neighbor(port);
+        if (dist[static_cast<std::size_t>(v)] != -1) continue;
+        dist[static_cast<std::size_t>(v)] = dist[static_cast<std::size_t>(u)] + 1;
+        const Node& nv = network.node(v);
+        for (std::size_t vport = 0; vport < nv.port_count(); ++vport) {
+          if (nv.neighbor(vport) == u) {
+            routes[static_cast<std::size_t>(v)][ai] = static_cast<int>(vport);
+            break;
+          }
+        }
+        frontier.push_back(v);
+      }
+    }
+  }
+  return routes;
+}
+
+void expect_lazy_matches_eager(const Network& network, util::Rng& order_rng) {
+  const auto eager = eager_routes(network);
+  std::vector<std::pair<sim::NodeId, sim::Address>> pairs;
+  for (std::size_t v = 0; v < network.node_count(); ++v) {
+    for (std::size_t a = 1; a <= network.address_count(); ++a) {
+      pairs.emplace_back(static_cast<sim::NodeId>(v),
+                         static_cast<sim::Address>(a));
+    }
+  }
+  order_rng.shuffle(pairs);
+  for (const auto& [v, a] : pairs) {
+    ASSERT_EQ(network.route_port(v, a),
+              eager[static_cast<std::size_t>(v)][a - 1])
+        << "node " << v << " toward address " << a;
+  }
+}
+
+TEST(LazyRoutes, MatchEagerOnStrings) {
+  util::Rng order(1);
+  for (const int hops : {1, 2, 5, 10}) {
+    for (const bool with_client : {false, true}) {
+      sim::Simulator simulator;
+      Network network(simulator);
+      topo::StringParams params;
+      params.hops = hops;
+      params.with_client = with_client;
+      topo::build_string(network, params);
+      network.compute_routes();
+      expect_lazy_matches_eager(network, order);
+    }
+  }
+}
+
+TEST(LazyRoutes, MatchEagerOnTrees) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    sim::Simulator simulator;
+    Network network(simulator);
+    util::Rng topo_rng(seed);
+    topo::TreeParams params;
+    params.leaf_count = 60;
+    params.hosts_per_access = seed % 2 == 0 ? 3 : 1;
+    topo::build_tree(network, topo_rng, params);
+    network.compute_routes();
+    util::Rng order(seed);
+    expect_lazy_matches_eager(network, order);
+  }
+}
+
+// A random connected graph: a random spanning tree plus extra edges, some
+// of them parallel links between an already connected pair.  Every fourth
+// node is a host with an address.
+void build_random_graph(Network& network, util::Rng& rng, std::size_t n) {
+  std::vector<sim::NodeId> ids;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 4 == 3) {
+      ids.push_back(network.add_node<Host>("h" + std::to_string(i)).id());
+    } else {
+      ids.push_back(network.add_node<Router>("r" + std::to_string(i)).id());
+    }
+  }
+  std::vector<std::pair<sim::NodeId, sim::NodeId>> edges;
+  for (std::size_t i = 1; i < n; ++i) {
+    const sim::NodeId parent = ids[rng.below(i)];
+    network.connect(ids[i], parent, LinkParams{});
+    edges.emplace_back(ids[i], parent);
+  }
+  for (std::size_t extra = 0; extra < n; ++extra) {
+    if (rng.bernoulli(0.3)) {
+      // A parallel link, from either end of an existing one.
+      const auto [a, b] = edges[rng.below(edges.size())];
+      if (rng.bernoulli(0.5)) {
+        network.connect(a, b, LinkParams{});
+      } else {
+        network.connect(b, a, LinkParams{});
+      }
+      continue;
+    }
+    const sim::NodeId a = ids[rng.below(n)];
+    const sim::NodeId b = ids[rng.below(n)];
+    if (a == b) continue;
+    network.connect(a, b, LinkParams{});
+    edges.emplace_back(a, b);
+  }
+  for (std::size_t i = 3; i < n; i += 4) {
+    static_cast<Host&>(network.node(ids[i]))
+        .set_address(network.assign_address(ids[i]));
+  }
+}
+
+TEST(LazyRoutes, MatchEagerOnRandomGraphsWithParallelLinks) {
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u, 15u, 16u}) {
+    sim::Simulator simulator;
+    Network network(simulator);
+    util::Rng rng(seed);
+    build_random_graph(network, rng, 20 + 10 * (seed % 4));
+    network.compute_routes();
+    expect_lazy_matches_eager(network, rng);
+  }
+}
+
+TEST(LazyRoutes, ParallelLinksUseTheFirstPort) {
+  // x has links 0 and 1 to y; z hangs off y.  Both toward z and toward y,
+  // x uses its first link, and y answers x on its first port back.
+  sim::Simulator simulator;
+  Network network(simulator);
+  auto& x = network.add_node<Host>("x");
+  auto& y = network.add_node<Router>("y");
+  auto& z = network.add_node<Host>("z");
+  network.connect(x.id(), y.id(), LinkParams{});
+  network.connect(y.id(), x.id(), LinkParams{});
+  network.connect(y.id(), z.id(), LinkParams{});
+  x.set_address(network.assign_address(x.id()));
+  z.set_address(network.assign_address(z.id()));
+  network.compute_routes();
+  EXPECT_EQ(network.route_port(x.id(), z.address()), 0);
+  EXPECT_EQ(network.route_port(y.id(), x.address()), 0);
+  EXPECT_EQ(network.route_port(y.id(), z.address()), 2);
+  util::Rng order(3);
+  expect_lazy_matches_eager(network, order);
+}
+
+TEST(LazyRoutes, RecomputeAfterAddingAHost) {
+  // As the tree experiment does for its TCP download servers: routes are
+  // prepared, some columns are built, then a host joins and routes are
+  // prepared again.
+  sim::Simulator simulator;
+  Network network(simulator);
+  util::Rng rng(21);
+  build_random_graph(network, rng, 40);
+  network.compute_routes();
+  expect_lazy_matches_eager(network, rng);
+  for (int added = 0; added < 3; ++added) {
+    auto& late = network.add_node<Host>("late" + std::to_string(added));
+    network.connect(late.id(), static_cast<sim::NodeId>(rng.below(40)),
+                    LinkParams{});
+    late.set_address(network.assign_address(late.id()));
+    network.compute_routes();
+    expect_lazy_matches_eager(network, rng);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "net/host.hpp"
 #include "net/network.hpp"
 #include "net/router.hpp"
@@ -94,30 +98,28 @@ TEST_F(TrafficFixture, SpoofPoliciesShapeSource) {
   auto on_packet = [&](const sim::Packet& p) { last_src = p.src; };
   dst->set_receiver(on_packet);
 
-  CbrParams params;
-  params.rate_bps = 8e6;
-  {
-    CbrSource cbr(simulator, *src, rng, params,
-                  [this] { return dst->address(); }, no_spoof());
-    cbr.start();
-    simulator.run_until(simulator.now() + sim::SimTime::millis(200));
-    EXPECT_EQ(last_src, src->address());
-  }
-  {
-    CbrSource cbr(simulator, *src, rng, params,
-                  [this] { return dst->address(); }, fixed_spoof(777));
-    cbr.start();
-    simulator.run_until(simulator.now() + sim::SimTime::millis(200));
-    EXPECT_EQ(last_src, 777u);
-  }
-  {
-    CbrSource cbr(simulator, *src, rng, params,
-                  [this] { return dst->address(); }, subnet_spoof(5000, 10));
-    cbr.start();
-    simulator.run_until(simulator.now() + sim::SimTime::millis(200));
-    EXPECT_GE(last_src, 5000u);
-    EXPECT_LT(last_src, 5010u);
-  }
+  // Each source sends for one 200 ms window.  All of them live to the end
+  // of the test: a stopped source's last tick is still pending when the
+  // next window runs, and it must find its source alive.
+  std::vector<std::unique_ptr<CbrSource>> sources;
+  auto run_window = [&](SpoofFn spoof) {
+    CbrParams params;
+    params.rate_bps = 8e6;
+    params.start = simulator.now();
+    params.stop = simulator.now() + sim::SimTime::millis(200);
+    sources.push_back(std::make_unique<CbrSource>(
+        simulator, *src, rng, params, [this] { return dst->address(); },
+        std::move(spoof)));
+    sources.back()->start();
+    simulator.run_until(params.stop);
+  };
+  run_window(no_spoof());
+  EXPECT_EQ(last_src, src->address());
+  run_window(fixed_spoof(777));
+  EXPECT_EQ(last_src, 777u);
+  run_window(subnet_spoof(5000, 10));
+  EXPECT_GE(last_src, 5000u);
+  EXPECT_LT(last_src, 5010u);
 }
 
 TEST_F(TrafficFixture, RandomSpoofVariesPerPacket) {

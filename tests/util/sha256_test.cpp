@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
+
+#include "honeypot/hash_chain.hpp"
+#include "util/sha256_impl.hpp"
 
 namespace hbp::util {
 namespace {
@@ -61,6 +65,107 @@ TEST_P(Sha256PaddingBoundary, MatchesIncremental) {
 INSTANTIATE_TEST_SUITE_P(Lengths, Sha256PaddingBoundary,
                          ::testing::Values(0, 1, 55, 56, 57, 63, 64, 65, 119,
                                            120, 128));
+
+// --- each compression function on its own ---
+//
+// hash_via pads the message itself (independently of Sha256::finish) and
+// feeds every block to one compression function, so the portable and the
+// SHA-NI rounds are each checked against the known answers, whichever one
+// Sha256 picked on this CPU.
+
+Digest hash_via(detail::Sha256Compress compress, std::string_view msg) {
+  std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  std::vector<std::uint8_t> padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  compress(state, padded.data(), padded.size() / 64);
+  Digest out;
+  for (int i = 0; i < 32; ++i) {
+    out[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return out;
+}
+
+Digest hash_via(detail::Sha256Compress compress, const Digest& d) {
+  return hash_via(compress, std::string_view(
+                                reinterpret_cast<const char*>(d.data()), d.size()));
+}
+
+enum class Path { kPortable, kShaNi };
+
+std::string path_name(const ::testing::TestParamInfo<Path>& info) {
+  return info.param == Path::kPortable ? "Portable" : "ShaNi";
+}
+
+class Sha256Path : public ::testing::TestWithParam<Path> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == Path::kPortable) {
+      compress_ = &detail::sha256_compress_portable;
+      return;
+    }
+#ifdef HBP_SHA256_HAVE_SHANI
+    if (detail::shani_supported()) {
+      compress_ = &detail::sha256_compress_shani;
+      return;
+    }
+#endif
+    GTEST_SKIP() << "this CPU lacks SHA-NI (sha + sse4.1); only the portable "
+                    "path can run here";
+  }
+
+  Digest hash(std::string_view msg) const { return hash_via(compress_, msg); }
+
+  detail::Sha256Compress compress_ = nullptr;
+};
+
+TEST_P(Sha256Path, Fips180KnownAnswers) {
+  EXPECT_EQ(to_hex(hash("")),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(to_hex(hash("abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(to_hex(hash(
+                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(to_hex(hash(std::string(1000000, 'a'))),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST_P(Sha256Path, PaddingBoundaryLengthsMatchSha256) {
+  // Lengths 0..130 cross the one-, two- and three-block padding edges; the
+  // bytes vary so a word-order slip cannot cancel out.
+  std::string msg;
+  for (int len = 0; len <= 130; ++len) {
+    Sha256 bytewise;
+    for (const char c : msg) bytewise.update(std::string_view(&c, 1));
+    const Digest expected = bytewise.finish();
+    EXPECT_EQ(to_hex(hash(msg)), to_hex(expected)) << "length " << len;
+    EXPECT_EQ(to_hex(Sha256::hash(msg)), to_hex(expected)) << "length " << len;
+    msg.push_back(static_cast<char>('a' + len % 26));
+  }
+}
+
+TEST_P(Sha256Path, FullHashChainMatchesHashChain) {
+  // The roaming schedule's chain at full length: K_i = H(K_{i+1}).
+  constexpr std::size_t kLength = 8192;
+  const Digest tail = Sha256::hash("fixed chain tail");
+  const honeypot::HashChain chain(tail, kLength);
+  Digest k = tail;
+  for (std::size_t i = kLength; i >= 1; --i) {
+    ASSERT_EQ(to_hex(chain.key(i)), to_hex(k)) << "key " << i;
+    k = hash_via(compress_, k);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Compress, Sha256Path,
+                         ::testing::Values(Path::kPortable, Path::kShaNi),
+                         path_name);
 
 // RFC 4231 test case 2.
 TEST(HmacSha256, Rfc4231Case2) {
