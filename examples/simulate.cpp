@@ -74,6 +74,10 @@ int main(int argc, char** argv) {
   config.trace_flight =
       static_cast<std::size_t>(flags.get_int("trace_flight", 256));
   flags.finish();
+  if (const std::string error = config.validate(); !error.empty()) {
+    std::fprintf(stderr, "invalid config: %s\n", error.c_str());
+    return 2;
+  }
 
   const auto result = scenario::run_tree_experiment(config, seed);
 

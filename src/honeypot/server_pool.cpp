@@ -96,24 +96,20 @@ void ServerPool::on_epoch(std::size_t epoch) {
       simulator_.at(
           w_start,
           [this, s, epoch] {
-            if (simulator_.tracing()) {
-              simulator_.trace_event(
-                  {simulator_.now(), sim::TraceVerb::kWindowStart,
-                   nodes_[static_cast<std::size_t>(s)], 0, 0, s,
-                   static_cast<std::int32_t>(epoch)});
-            }
+            simulator_.record(
+                {simulator_.now(), sim::TraceVerb::kWindowStart,
+                 nodes_[static_cast<std::size_t>(s)], 0, 0, s,
+                 static_cast<std::int32_t>(epoch)});
             for (const auto& fn : window_start_) fn(s, epoch);
           },
           "honeypot.pool.window");
       simulator_.at(
           w_end,
           [this, s, epoch] {
-            if (simulator_.tracing()) {
-              simulator_.trace_event(
-                  {simulator_.now(), sim::TraceVerb::kWindowEnd,
-                   nodes_[static_cast<std::size_t>(s)], 0, 0, s,
-                   static_cast<std::int32_t>(epoch)});
-            }
+            simulator_.record(
+                {simulator_.now(), sim::TraceVerb::kWindowEnd,
+                 nodes_[static_cast<std::size_t>(s)], 0, 0, s,
+                 static_cast<std::int32_t>(epoch)});
             for (const auto& fn : window_end_) fn(s, epoch);
           },
           "honeypot.pool.window");
@@ -199,11 +195,9 @@ void ServerPool::handle_packet(int server, const sim::Packet& p) {
     ++honeypot_packets_;
     if (!p.is_attack) ++false_hits_;
     blacklist_.observed_at_honeypot(p.src);
-    if (simulator_.tracing()) {
-      simulator_.trace_event({now, sim::TraceVerb::kHoneypotHit,
-                              nodes_[static_cast<std::size_t>(server)], p.uid,
-                              0, server, p.is_attack ? 1 : 0});
-    }
+    simulator_.record({now, sim::TraceVerb::kHoneypotHit,
+                       nodes_[static_cast<std::size_t>(server)], p.uid,
+                       0, server, p.is_attack ? 1 : 0});
     for (const auto& fn : hit_) fn(server, p);
     return;
   }

@@ -100,9 +100,9 @@ class Network {
   // Called by links when a packet finishes propagation.
   void deliver(sim::NodeId to, sim::Packet&& p, int in_port);
 
-  // Drop accounting entry points: count the drop and fold it into the run's
-  // trace digest.  Routers call these instead of touching counters directly
-  // so every terminal packet fate is fingerprinted.
+  // Drop accounting entry points: count the drop and record it.  Routers
+  // call these instead of touching counters directly so every terminal
+  // packet fate is one trace record.
   void drop_ttl(const sim::Packet& p, sim::NodeId at);
   void drop_filter(const sim::Packet& p, sim::NodeId at);
 

@@ -52,10 +52,8 @@ void Router::receive(sim::Packet&& p, int in_port) {
 
   ++forwarded_;
   sim::Simulator& simulator = network().simulator();
-  if (simulator.tracing()) {
-    simulator.trace_event({simulator.now(), sim::TraceVerb::kForward, id(),
-                           p.uid, 0, in_port, out_port});
-  }
+  simulator.record({simulator.now(), sim::TraceVerb::kForward, id(),
+                    p.uid, 0, in_port, out_port});
   network().transmit(id(), out_port, std::move(p));
 }
 

@@ -49,11 +49,9 @@ net::FilterAction PushbackAgent::on_packet(const sim::Packet& p, int in_port) {
   }
   ++limited_drops_;
   sim::Simulator& simulator = system_.simulator();
-  if (simulator.tracing()) {
-    simulator.trace_event({simulator.now(), sim::TraceVerb::kPushbackLimit,
-                           router_.id(), p.uid,
-                           static_cast<std::uint64_t>(agg), in_port, -1});
-  }
+  simulator.record({simulator.now(), sim::TraceVerb::kPushbackLimit,
+                    router_.id(), p.uid,
+                    static_cast<std::uint64_t>(agg), in_port, -1});
   // Limited bytes still count as demand for the upstream max-min split and
   // as congestion pressure for the calm detector.
   limited_bytes_[agg] += static_cast<std::uint64_t>(p.size_bytes);
@@ -352,11 +350,8 @@ void PushbackSystem::send_request(sim::NodeId from, sim::NodeId to,
                                   AggregateKey agg, double limit_bps,
                                   int depth) {
   ++requests_;
-  if (simulator_.tracing()) {
-    simulator_.trace_event({simulator_.now(), sim::TraceVerb::kPushbackRequest,
-                            from, static_cast<std::uint64_t>(agg), 0, to,
-                            depth});
-  }
+  simulator_.record({simulator_.now(), sim::TraceVerb::kPushbackRequest,
+                     from, static_cast<std::uint64_t>(agg), 0, to, depth});
   control_.send("pushback_request", 1, [this, to, agg, limit_bps, depth, from] {
     if (PushbackAgent* agent = this->agent(to)) {
       agent->receive_request(agg, limit_bps, depth, from);
@@ -367,10 +362,8 @@ void PushbackSystem::send_request(sim::NodeId from, sim::NodeId to,
 void PushbackSystem::send_cancel(sim::NodeId from, sim::NodeId to,
                                  AggregateKey agg) {
   ++cancels_;
-  if (simulator_.tracing()) {
-    simulator_.trace_event({simulator_.now(), sim::TraceVerb::kPushbackCancel,
-                            from, static_cast<std::uint64_t>(agg), 0, to, -1});
-  }
+  simulator_.record({simulator_.now(), sim::TraceVerb::kPushbackCancel,
+                     from, static_cast<std::uint64_t>(agg), 0, to, -1});
   control_.send("pushback_cancel", 1, [this, to, agg, from] {
     if (PushbackAgent* agent = this->agent(to)) {
       agent->receive_cancel(agg, from);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,6 +38,38 @@ std::string to_string(AttackerPlacement p) {
     case AttackerPlacement::kEven: return "Evenly Distributed";
   }
   return "?";
+}
+
+std::string TreeExperimentConfig::validate() const {
+  char buf[160];
+  // !(x > 0) also rejects NaN.
+  if (!(sim_seconds > 0)) {
+    std::snprintf(buf, sizeof buf, "sim_seconds must be positive (got %g)",
+                  sim_seconds);
+  } else if (!(epoch_seconds > 0)) {
+    std::snprintf(buf, sizeof buf, "epoch_seconds must be positive (got %g)",
+                  epoch_seconds);
+  } else if (!(attack_end > attack_start)) {
+    std::snprintf(buf, sizeof buf,
+                  "attack_end (%g) must be after attack_start (%g)",
+                  attack_end, attack_start);
+  } else if (n_clients < 0 || n_attackers < 0 ||
+             static_cast<std::size_t>(n_clients) +
+                     static_cast<std::size_t>(n_attackers) >
+                 tree.leaf_count) {
+    std::snprintf(buf, sizeof buf,
+                  "leaf_count (%zu) must hold n_clients (%d) + n_attackers "
+                  "(%d)",
+                  tree.leaf_count, n_clients, n_attackers);
+  } else if (scheme == Scheme::kHbp &&
+             (k_active < 1 || k_active > tree.server_count)) {
+    std::snprintf(buf, sizeof buf,
+                  "k_active must be in [1, server_count = %d] (got %d)",
+                  tree.server_count, k_active);
+  } else {
+    return {};
+  }
+  return buf;
 }
 
 TreeResult run_tree_experiment(const TreeExperimentConfig& config,

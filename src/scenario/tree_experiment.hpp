@@ -94,6 +94,12 @@ struct TreeExperimentConfig {
   pushback::PushbackParams pb;
   bool pb_weighted_by_hosts = false;  // Level-k max-min ablation
   net::ControlPlane::Params control;
+
+  // Checks the inputs run_tree_experiment cannot run with and returns a
+  // readable message for the first one found; empty means the config is
+  // valid.  Front ends call this before running instead of letting a bad
+  // value reach an internal assertion.
+  std::string validate() const;
 };
 
 struct TreeResult {

@@ -13,7 +13,6 @@ void Simulator::dispatch(EventQueue::PoppedEvent&& ev) {
   HBP_ASSERT(ev.at >= now_);
   now_ = ev.at;
   ++executed_;
-  trace_.fold(ev.at, TraceKind::kEvent, /*node=*/-1, executed_);
   if (profiler_ == nullptr) {
     ev.fn();
     return;

@@ -4,13 +4,19 @@
 // closures on it; the main loop pops events in time order until the horizon
 // or until the queue drains.
 //
-// Observability: every Simulator lazily owns a telemetry::Registry that
-// components use to register always-on instruments, and an optional
-// LoopProfiler (enable_profiling()) that attributes dispatch counts and
-// wall time to the scheduling-site labels passed to at()/after().  Neither
-// schedules events nor consumes randomness, so enabling them leaves trace
-// digests bit-identical; with profiling disabled the dispatch loop pays a
-// single never-taken branch.
+// Observation: every model transition is one record(TraceEvent) call.  The
+// Simulator folds each record into the run's TraceDigest and forwards it to
+// the causal-trace sink when one is attached — one stream, so the pinned
+// digest and the exported trace cannot disagree.  The loop itself folds
+// nothing; events_executed() counts dispatches.
+//
+// Every Simulator also lazily owns a telemetry::Registry that components
+// use to register always-on instruments, and an optional LoopProfiler
+// (enable_profiling()) that attributes dispatch counts and wall time to the
+// scheduling-site labels passed to at()/after().  Neither schedules events
+// nor consumes randomness, so enabling them leaves trace digests
+// bit-identical; with profiling disabled the dispatch loop pays a single
+// never-taken branch.
 #pragma once
 
 #include <cstdint>
@@ -58,20 +64,21 @@ class Simulator {
     return queue_.next_time();
   }
 
-  // Running fingerprint of this run: the event loop folds every dispatched
-  // event and the data plane folds every packet transition.
-  TraceDigest& trace() { return trace_; }
-  const TraceDigest& trace() const { return trace_; }
-
-  // Causal tracing sink (trace::Tracer::attach installs one).  Like
-  // profiling, tracing is observational: hooks fire only behind tracing(),
-  // never schedule events or consume randomness, so digests stay
-  // bit-identical whether a sink is installed or not.
-  void set_trace_sink(TraceSink sink) { trace_sink_ = sink; }
-  bool tracing() const { return static_cast<bool>(trace_sink_); }
-  void trace_event(const TraceEvent& e) {
+  // The one observation point: folds `e` into the run's digest, then hands
+  // it to the trace sink if one is attached.
+  void record(const TraceEvent& e) {
+    trace_.fold(e);
     if (trace_sink_) trace_sink_(e);
   }
+
+  // Running fingerprint of this run: the fold of every record().
+  const TraceDigest& trace() const { return trace_; }
+
+  // Causal tracing sink (trace::Tracer::attach installs one).  The sink only
+  // sees what record() already folded, so digests stay bit-identical
+  // whether a sink is installed or not.
+  void set_trace_sink(TraceSink sink) { trace_sink_ = sink; }
+  bool tracing() const { return static_cast<bool>(trace_sink_); }
 
   // Flight-recorder dump hook: appends the recorder's last-N-events tail to
   // `out`.  Returns false (and leaves `out` alone) when no recorder is

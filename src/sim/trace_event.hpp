@@ -1,20 +1,20 @@
-// Causal trace events: the vocabulary shared by the simulator's trace sink
-// and the src/trace subsystem that records and exports them.
+// Trace events: the one observation record of a simulation run.
 //
-// This is deliberately separate from sim/trace_digest.hpp: the digest is a
-// one-way fingerprint folded unconditionally on every run (golden tests pin
-// it); trace events are a *descriptive* record emitted only when a sink is
-// installed.  Emitting them must never change the digest — hooks neither
-// schedule events nor consume randomness, they only describe transitions
-// that already happened.
+// Every model transition — a packet hop, a honeypot hit, an HBP request,
+// an HSM session, a capture, a pushback limit — is described by exactly one
+// TraceEvent, emitted through Simulator::record().  The Simulator always
+// folds it into the run's digest (sim/trace_digest.hpp) and forwards it to
+// the src/trace recorder when one is attached, so what the golden tests pin
+// is what a trace export shows.  Records are observational: hook sites
+// neither schedule events nor consume randomness to make them, so attaching
+// a tracer never changes the digest.
 //
-// The emit idiom at every hook site is a single predicted-not-taken branch,
-// so the disabled path costs one load + compare and allocates nothing:
+// The emit idiom at every hook site is one unconditional call; the record
+// is a trivially copyable aggregate built on the stack and allocates
+// nothing:
 //
-//   if (simulator.tracing()) {
-//     simulator.trace_event({simulator.now(), TraceVerb::kDeliver, node,
-//                            p.uid, /*cause=*/0, in_port, -1});
-//   }
+//   simulator.record({simulator.now(), TraceVerb::kDeliver, node, p.uid,
+//                     /*cause=*/0, in_port, -1});
 #pragma once
 
 #include <cstddef>

@@ -158,12 +158,10 @@ void TcpSender::on_ack(std::int64_t ack) {
       cwnd_ = ssthresh_;
       ++retransmits_;
       rtt_sample_valid_ = false;  // Karn: retransmission poisons the sample
-      if (simulator_.tracing()) {
-        simulator_.trace_event(
-            {simulator_.now(), sim::TraceVerb::kTcpFastRetransmit, host_.id(),
-             0, 0, static_cast<std::int32_t>(snd_una_ & 0x7fffffff),
-             dupacks_});
-      }
+      simulator_.record(
+          {simulator_.now(), sim::TraceVerb::kTcpFastRetransmit, host_.id(),
+           0, 0, static_cast<std::int32_t>(snd_una_ & 0x7fffffff),
+           dupacks_});
       send_segment(snd_una_);
       arm_rto();
     }
@@ -188,12 +186,10 @@ void TcpSender::arm_rto() {
 
 void TcpSender::on_rto() {
   ++timeouts_;
-  if (simulator_.tracing()) {
-    simulator_.trace_event({simulator_.now(), sim::TraceVerb::kTcpTimeout,
-                            host_.id(), 0, 0,
-                            static_cast<std::int32_t>(snd_una_ & 0x7fffffff),
-                            established_ ? 1 : 0});
-  }
+  simulator_.record({simulator_.now(), sim::TraceVerb::kTcpTimeout,
+                     host_.id(), 0, 0,
+                     static_cast<std::int32_t>(snd_una_ & 0x7fffffff),
+                     established_ ? 1 : 0});
   rto_ = sim::SimTime(std::min((rto_ * 2).nanos(), params_.max_rto.nanos()));
   if (!established_) {
     send_syn();

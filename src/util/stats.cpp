@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/assert.hpp"
-
 namespace hbp::util {
 
 void RunningStats::add(double x) {
@@ -45,32 +43,6 @@ void RunningStats::merge(const RunningStats& other) {
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  HBP_ASSERT(hi > lo);
-  HBP_ASSERT(bins > 0);
-}
-
-void Histogram::add(double x) {
-  auto bin = static_cast<std::int64_t>((x - lo_) / width_);
-  bin = std::clamp<std::int64_t>(bin, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  return lo_ + width_ * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const {
-  return lo_ + width_ * static_cast<double>(bin + 1);
-}
-
-double Histogram::frequency(std::size_t bin) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_[bin]) / static_cast<double>(total_);
 }
 
 double IntCounter::frequency(std::int64_t v) const {

@@ -1,11 +1,10 @@
-// Streaming statistics and histograms for experiment metrics.
+// Streaming statistics and frequency counters for experiment metrics.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <vector>
 
 namespace hbp::util {
 
@@ -36,29 +35,6 @@ class RunningStats {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-// Fixed-width bin histogram over [lo, hi); out-of-range samples clamp to the
-// first/last bin.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  std::size_t bins() const { return counts_.size(); }
-  std::uint64_t count(std::size_t bin) const { return counts_[bin]; }
-  std::uint64_t total() const { return total_; }
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
-  // Fraction of samples in a bin (0 if empty histogram).
-  double frequency(std::size_t bin) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 // Exact integer-valued frequency counter (for degree/hop-count histograms).

@@ -1,14 +1,32 @@
-// Telemetry determinism at the scenario level (the ISSUE acceptance tests):
+// Telemetry determinism at the scenario level:
 //  - the rendered run report, minus the trailing "perf" object, is
 //    byte-identical across two same-seed runs;
-//  - enabling telemetry profiling does not move the trace digest.
+//  - enabling telemetry profiling does not move the trace digest;
+//  - per-AS HSM counters are exported sparsely, with no nonzero value lost.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "core/defense.hpp"
+#include "honeypot/checkpoint.hpp"
+#include "honeypot/hash_chain.hpp"
+#include "honeypot/schedule.hpp"
+#include "honeypot/server_pool.hpp"
+#include "net/control_plane.hpp"
+#include "net/network.hpp"
 #include "scenario/string_experiment.hpp"
 #include "scenario/tree_experiment.hpp"
+#include "telemetry/registry.hpp"
 #include "telemetry/report.hpp"
+#include "topo/tree.hpp"
+#include "traffic/cbr.hpp"
+#include "traffic/spoof.hpp"
+#include "util/rng.hpp"
+#include "util/sha256.hpp"
 
 namespace hbp::scenario {
 namespace {
@@ -115,6 +133,85 @@ TEST(RunReportDeterminism, StringExperimentProfilingDigestStable) {
   EXPECT_EQ(off.trace_digest, on.trace_digest);
   EXPECT_EQ(off.events_executed, on.events_executed);
   EXPECT_EQ(off.capture_seconds, on.capture_seconds);
+}
+
+// Every "core.hsm.*" counter in `registry`, by name.
+std::map<std::string, std::uint64_t> hsm_counters(
+    const telemetry::Registry& registry) {
+  std::map<std::string, std::uint64_t> out;
+  registry.visit([&](const std::string& name, const telemetry::Counter* c,
+                     auto*, auto*, auto*) {
+    if (c != nullptr && name.rfind("core.hsm.", 0) == 0) {
+      out[name] = c->value();
+    }
+  });
+  return out;
+}
+
+TEST(RunReportDeterminism, NoZeroValuedHsmCounter) {
+  const TreeResult r = run_tree_experiment(mini_tree(false), 7);
+  ASSERT_TRUE(r.telemetry != nullptr);
+  const auto counters = hsm_counters(*r.telemetry);
+  EXPECT_FALSE(counters.empty());
+  for (const auto& [name, value] : counters) {
+    EXPECT_NE(value, 0u) << name;
+  }
+}
+
+TEST(RunReportDeterminism, SparseHsmExportMatchesFullRead) {
+  // A hand-wired small HBP tree, so the test can read every HSM directly.
+  sim::Simulator simulator;
+  net::Network network(simulator);
+  util::Rng rng(3);
+  topo::TreeParams tree_params;
+  tree_params.leaf_count = 40;
+  const topo::Tree tree = topo::build_tree(network, rng, tree_params);
+  network.compute_routes();
+
+  auto chain = std::make_shared<honeypot::HashChain>(
+      util::Sha256::hash("sparse"), 1024);
+  honeypot::RoamingSchedule schedule(
+      chain, static_cast<int>(tree.servers.size()), 3,
+      sim::SimTime::seconds(5));
+  honeypot::CheckpointStore store;
+  honeypot::ServerPool pool(simulator, network, schedule, tree.servers,
+                            tree.server_addrs, store, {});
+  net::ControlPlane control(simulator, {});
+  core::HbpDefense defense(simulator, network, control, pool, tree.as_map,
+                           {});
+  defense.start();
+  pool.start();
+
+  std::vector<std::unique_ptr<traffic::CbrSource>> attackers;
+  for (std::size_t leaf = 0; leaf < 4; ++leaf) {
+    traffic::CbrParams params;
+    params.rate_bps = 0.5e6;
+    params.is_attack = true;
+    attackers.push_back(std::make_unique<traffic::CbrSource>(
+        simulator,
+        static_cast<net::Host&>(network.node(tree.leaf_hosts[leaf * 10])),
+        rng, params, [&tree] { return tree.server_addrs[0]; },
+        traffic::random_spoof()));
+    attackers.back()->start();
+  }
+  simulator.run_until(sim::SimTime::seconds(30));
+
+  telemetry::Registry registry;
+  defense.export_telemetry(registry);
+  std::map<std::string, std::uint64_t> full_read;
+  for (std::size_t as = 0; as < tree.as_map.count(); ++as) {
+    const core::Hsm* hsm = defense.hsm(static_cast<net::AsId>(as));
+    if (hsm == nullptr) continue;
+    const std::string prefix = "core.hsm." + std::to_string(as);
+    for (const auto& [name, value] :
+         {std::pair{".requests", hsm->requests_received()},
+          std::pair{".cancels", hsm->cancels_received()},
+          std::pair{".diverted", hsm->packets_diverted()}}) {
+      if (value != 0) full_read[prefix + name] = value;
+    }
+  }
+  EXPECT_FALSE(full_read.empty());
+  EXPECT_EQ(hsm_counters(registry), full_read);
 }
 
 }  // namespace

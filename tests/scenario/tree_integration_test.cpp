@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace hbp::scenario {
 namespace {
 
@@ -291,6 +293,61 @@ TEST(TreeExperiment, ReplicatedSummaryAggregates) {
   EXPECT_EQ(summary.throughput.count(), 3u);
   EXPECT_GT(summary.throughput.mean(), 0.3);
   EXPECT_DOUBLE_EQ(summary.false_captures.mean(), 0.0);
+}
+
+// validate() names the first input the scenario cannot run with; each
+// rejected value used to reach an HBP_ASSERT abort.
+bool rejects(const TreeExperimentConfig& config, const std::string& field) {
+  const std::string error = config.validate();
+  return error.find(field) != std::string::npos;
+}
+
+TEST(TreeExperimentConfig, ValidateAcceptsDefaultsAndSmallConfig) {
+  EXPECT_EQ(TreeExperimentConfig().validate(), "");
+  EXPECT_EQ(small_config().validate(), "");
+}
+
+TEST(TreeExperimentConfig, ValidateRejectsNonPositiveDuration) {
+  auto config = small_config();
+  config.sim_seconds = -5.0;
+  EXPECT_TRUE(rejects(config, "sim_seconds must be positive"));
+  config.sim_seconds = 0.0;
+  EXPECT_TRUE(rejects(config, "sim_seconds must be positive"));
+}
+
+TEST(TreeExperimentConfig, ValidateRejectsZeroEpoch) {
+  auto config = small_config();
+  config.epoch_seconds = 0.0;
+  EXPECT_TRUE(rejects(config, "epoch_seconds must be positive"));
+}
+
+TEST(TreeExperimentConfig, ValidateRejectsTooFewLeaves) {
+  auto config = small_config();
+  config.tree.leaf_count = 0;
+  EXPECT_TRUE(rejects(config, "leaf_count (0) must hold"));
+  config.tree.leaf_count = 49;  // 40 clients + 10 attackers
+  EXPECT_TRUE(rejects(config, "leaf_count (49) must hold"));
+  config.tree.leaf_count = 50;
+  EXPECT_EQ(config.validate(), "");
+  config.n_attackers = -1;
+  EXPECT_TRUE(rejects(config, "must hold"));
+}
+
+TEST(TreeExperimentConfig, ValidateRejectsEmptyAttackWindow) {
+  auto config = small_config();
+  config.attack_end = config.attack_start;
+  EXPECT_TRUE(rejects(config, "attack_end"));
+}
+
+TEST(TreeExperimentConfig, ValidateRejectsKActiveOutOfRange) {
+  auto config = small_config();
+  config.k_active = 0;
+  EXPECT_TRUE(rejects(config, "k_active"));
+  config.k_active = config.tree.server_count + 1;
+  EXPECT_TRUE(rejects(config, "k_active"));
+  // Only HBP runs the schedule with k_active.
+  config.scheme = Scheme::kPushback;
+  EXPECT_EQ(config.validate(), "");
 }
 
 }  // namespace

@@ -119,8 +119,8 @@ std::int64_t push_gap(PushShape shape, util::Rng& rng) {
 // Reference-model property test: random interleavings of push/pop/cancel
 // against a plain list of (time, seq) entries.  Every pop must return the
 // model's exact minimum entry — same time AND same payload — and the popped
-// stream, folded into a TraceDigest as the simulator folds dispatches, must
-// equal the model's stream.
+// stream, folded into a TraceDigest as one record per pop (time, payload as
+// the id), must equal the model's stream.
 class EventQueueModelSweep
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, PushShape>> {
 };
@@ -154,8 +154,8 @@ TEST_P(EventQueueModelSweep, MatchesReferenceModel) {
     ev.fn();
     ASSERT_EQ(ev.at.nanos(), best->at);
     ASSERT_EQ(popped.back(), best->seq);
-    queue_digest.fold(ev.at, TraceKind::kEvent, -1, popped.back());
-    model_digest.fold(SimTime(best->at), TraceKind::kEvent, -1, best->seq);
+    queue_digest.fold({ev.at, TraceVerb::kSend, -1, popped.back(), 0});
+    model_digest.fold({SimTime(best->at), TraceVerb::kSend, -1, best->seq, 0});
     clock = best->at;
     model.erase(best);
   };

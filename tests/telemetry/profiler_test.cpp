@@ -41,7 +41,10 @@ TEST(SimulatorProfiling, CountsAreDeterministicAndDigestUnchanged) {
     sim::Simulator simulator;
     if (profile) simulator.enable_profiling();
     int ticks = 0;
+    // Each tick records a transition, so the digest has something to pin.
     std::function<void()> tick = [&] {
+      simulator.record({simulator.now(), sim::TraceVerb::kSend, 0,
+                        static_cast<std::uint64_t>(ticks), 0, ticks, -1});
       if (++ticks < 100) {
         simulator.after(sim::SimTime::millis(1), tick, "tick");
       }
@@ -49,6 +52,7 @@ TEST(SimulatorProfiling, CountsAreDeterministicAndDigestUnchanged) {
     simulator.after(sim::SimTime::millis(1), tick, "tick");
     simulator.at(sim::SimTime::millis(50), [] {}, "oneshot");
     simulator.run_all();
+    EXPECT_EQ(simulator.trace().records(), 100u);
     return simulator.trace().value();
   };
 

@@ -103,7 +103,7 @@ TEST(Tracer, AttachInstallsSimulatorSinkAndDetachRemovesIt) {
   EXPECT_TRUE(simulator.tracing());
   EXPECT_TRUE(tracer.attached());
 
-  simulator.trace_event(make_event(7));
+  simulator.record(make_event(7));
   EXPECT_EQ(tracer.recorded(), 1u);
   EXPECT_EQ(tracer.event(0).id, 7u);
 
@@ -116,9 +116,10 @@ TEST(Tracer, AttachInstallsSimulatorSinkAndDetachRemovesIt) {
   EXPECT_FALSE(tracer.attached());
   out.clear();
   EXPECT_FALSE(simulator.dump_flight(out));
-  // A trace_event on a detached simulator is the zero-cost disabled path.
-  simulator.trace_event(make_event(8));
+  // A detached simulator still folds the record but forwards nothing.
+  simulator.record(make_event(8));
   EXPECT_EQ(tracer.recorded(), 1u);
+  EXPECT_EQ(simulator.trace().records(), 2u);
 }
 
 TEST(Tracer, DestructorDetachesFromTheSimulator) {
