@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   const auto common = bench::apply_common_flags(flags, config);
   bench::BenchReport report("ablation_design_issues", flags);
   flags.finish();
+  bench::exit_if_invalid(config.validate());
 
   util::ThreadPool pool;
 

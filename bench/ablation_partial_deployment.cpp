@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
 
   config.scheme = scenario::Scheme::kHbp;
   config.n_attackers = 25;
+  bench::exit_if_invalid(config.validate());
 
   util::print_banner("Ablation — partial deployment of honeypot "
                      "back-propagation (fraction of ASs with an HSM)");

@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
   base.tau = 0.5;
   base.attacker_rate_bps = 0.1e6;  // 12.5 packets/s — low-rate attacker
   base.horizon_seconds = 3000.0;
+  bench::exit_if_invalid(base.validate());
 
   util::print_banner("Ablation — basic vs progressive against on-off attacks "
                      "(string topology, h=" + std::to_string(h) +

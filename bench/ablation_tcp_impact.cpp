@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   config.sim_seconds = 150.0;
   config.attack_start = 30.0;
   config.attack_end = 140.0;
+  bench::exit_if_invalid(config.validate());
 
   util::print_banner("Ablation — TCP download goodput across the bottleneck "
                      "(ACK-path damage, Section 3)");

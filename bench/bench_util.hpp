@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -112,6 +113,15 @@ inline CommonFlags apply_common_flags(util::Flags& flags,
   out.seeds = static_cast<int>(flags.get_int("seeds", out.seeds));
   out.base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   return out;
+}
+
+// Rejects a config built from flags before it can reach an HBP_ASSERT deep
+// in a run: `error` is what the config's validate() returned, and a
+// non-empty one prints `invalid config: <error>` and exits 2.
+inline void exit_if_invalid(const std::string& error) {
+  if (error.empty()) return;
+  std::fprintf(stderr, "invalid config: %s\n", error.c_str());
+  std::exit(2);
 }
 
 }  // namespace hbp::bench

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   config.attacker_rate_bps = flags.get_double("rate_mbps", 1.0) * 1e6;
   bench::BenchReport report("fig10_locations", flags);
   flags.finish();
+  bench::exit_if_invalid(config.validate());
 
   util::print_banner(
       "Fig. 10 — client throughput vs attacker location "

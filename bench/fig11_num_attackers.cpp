@@ -19,6 +19,11 @@ int main(int argc, char** argv) {
       flags.get_double_list("counts", {10, 25, 50, 75, 100});
   bench::BenchReport report("fig11_num_attackers", flags);
   flags.finish();
+  for (const double n : counts) {
+    auto point = config;
+    point.n_attackers = static_cast<int>(n);
+    bench::exit_if_invalid(point.validate());
+  }
 
   util::print_banner(
       "Fig. 11 — client throughput vs number of attackers "

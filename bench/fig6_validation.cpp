@@ -78,6 +78,9 @@ int main(int argc, char** argv) {
     config.progressive = false;  // basic scheme, as in the paper's Fig. 6
     return config;
   };
+  // The sweeps vary m, p and h over fixed valid ranges; --tau and
+  // --rate_mbps reach every point.
+  bench::exit_if_invalid(base(10.0, 0.3, 10).validate());
 
   sweep("Fig. 6 (a) — effect of honeypot probability p (m=10 s, h=10)",
         "p", {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9},

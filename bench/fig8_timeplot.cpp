@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   const std::string report_path = flags.get_string("report", "");
   const std::string csv_path = flags.get_string("csv", "");
   flags.finish();
+  bench::exit_if_invalid(config.validate());
 
   util::print_banner("Fig. 8 — client throughput over time (one run, attack "
                      "from t=5 s to t=95 s)");

@@ -11,6 +11,7 @@ int main(int argc, char** argv) {
   bench::apply_common_flags(flags, config);
   bench::BenchReport report("fig9_params", flags);
   flags.finish();
+  bench::exit_if_invalid(config.validate());
 
   util::print_banner("Fig. 9 — simulation parameters");
   util::Table table({"Parameter", "Value", "Source"});

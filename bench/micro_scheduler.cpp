@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the pending-event set, the binary
 // heap behind sim::EventQueue: push/pop throughput with and without packet
-// payloads, cancellation churn, and a classic hold-model steady state.
+// payloads, and a classic hold-model steady state.
 // `--json <path>` additionally writes an hbp-bench/1 record with
 // deterministic packet-event throughput counters for tools/bench_diff.
 #include <benchmark/benchmark.h>
@@ -60,29 +60,6 @@ void BM_PushPopPacket(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_PushPopPacket)->Arg(1024)->Arg(16384)->ArgName("n");
-
-// Retransmit-timer shape: every scheduled event is cancelled before firing
-// (TCP RTO, honeypot window guards).  Exercises slot recycling plus stale-
-// record compaction in the ordering structure.
-void BM_PushCancel(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  hbp::util::Rng rng(3);
-  hbp::sim::EventQueue q;
-  std::vector<hbp::sim::EventId> ids;
-  ids.reserve(n);
-  for (auto _ : state) {
-    ids.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      ids.push_back(q.push(
-          hbp::sim::SimTime(static_cast<std::int64_t>(rng.below(1'000'000))),
-          [] {}));
-    }
-    for (const auto id : ids) benchmark::DoNotOptimize(q.cancel(id));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_PushCancel)->Arg(4096)->ArgName("n");
 
 // Classic hold model: constant population, each pop schedules one push a
 // random increment ahead.  This is the scheduler's steady-state regime in a

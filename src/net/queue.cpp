@@ -103,10 +103,4 @@ std::int64_t RedQueue::recount_bytes() const {
   return total;
 }
 
-QueueFactory droptail_factory(std::int64_t capacity_bytes) {
-  return [capacity_bytes] {
-    return std::make_unique<DropTailQueue>(capacity_bytes);
-  };
-}
-
 }  // namespace hbp::net

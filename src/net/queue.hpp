@@ -114,7 +114,4 @@ class RedQueue final : public PacketQueue {
 
 using QueueFactory = std::function<std::unique_ptr<PacketQueue>()>;
 
-// Default factory: drop-tail with the given byte capacity.
-QueueFactory droptail_factory(std::int64_t capacity_bytes);
-
 }  // namespace hbp::net

@@ -1,6 +1,7 @@
 #include "scenario/string_experiment.hpp"
 
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +22,40 @@
 #include "util/rng.hpp"
 
 namespace hbp::scenario {
+
+std::string StringExperimentConfig::validate() const {
+  char buf[160];
+  // Comparisons are written so that NaN fails them.
+  if (!(m > 0)) {
+    std::snprintf(buf, sizeof buf, "m (epoch length) must be positive (got %g)",
+                  m);
+  } else if (!(p > 0 && p <= 1)) {
+    std::snprintf(buf, sizeof buf, "p must be in (0, 1] (got %g)", p);
+  } else if (h < 1) {
+    std::snprintf(buf, sizeof buf, "h must be at least 1 (got %d)", h);
+  } else if (!(attacker_rate_bps > 0)) {
+    std::snprintf(buf, sizeof buf,
+                  "attacker_rate_bps must be positive (got %g)",
+                  attacker_rate_bps);
+  } else if (packet_size <= 0) {
+    std::snprintf(buf, sizeof buf, "packet_size must be positive (got %d)",
+                  packet_size);
+  } else if (!(tau >= 0)) {
+    std::snprintf(buf, sizeof buf, "tau must be non-negative (got %g)", tau);
+  } else if (!(horizon_seconds >= 0)) {
+    std::snprintf(buf, sizeof buf,
+                  "horizon_seconds must be non-negative (got %g)",
+                  horizon_seconds);
+  } else if (!(control_loss_probability >= 0 &&
+               control_loss_probability < 1)) {
+    std::snprintf(buf, sizeof buf,
+                  "control_loss_probability must be in [0, 1) (got %g)",
+                  control_loss_probability);
+  } else {
+    return {};
+  }
+  return buf;
+}
 
 StringResult run_string_experiment(const StringExperimentConfig& config,
                                    std::uint64_t seed) {

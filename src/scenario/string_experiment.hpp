@@ -35,6 +35,11 @@ struct StringExperimentConfig {
   // are bit-identical with tracing on or off.
   std::string trace_path;
   std::size_t trace_flight = 256;  // flight-recorder depth (last N events)
+
+  // Checks the inputs run_string_experiment cannot run with and returns a
+  // readable message for the first one found; empty means the config is
+  // valid (see TreeExperimentConfig::validate).
+  std::string validate() const;
 };
 
 struct StringResult {

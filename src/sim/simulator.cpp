@@ -4,9 +4,9 @@
 
 namespace hbp::sim {
 
-EventId Simulator::at(SimTime when, Event fn, const char* label) {
+void Simulator::at(SimTime when, Event fn, const char* label) {
   HBP_ASSERT_MSG(when >= now_, "cannot schedule an event in the past");
-  return queue_.push(when, std::move(fn), label);
+  queue_.push(when, std::move(fn), label);
 }
 
 void Simulator::dispatch(EventQueue::PoppedEvent&& ev) {

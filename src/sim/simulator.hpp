@@ -42,11 +42,11 @@ class Simulator {
 
   // `label` names the event type for the loop profiler; pass a string
   // literal (the pointer is stored, not the contents).
-  EventId at(SimTime when, Event fn, const char* label = nullptr);
-  EventId after(SimTime delay, Event fn, const char* label = nullptr) {
-    return at(now_ + delay, std::move(fn), label);
+  // Scheduled events cannot be cancelled.
+  void at(SimTime when, Event fn, const char* label = nullptr);
+  void after(SimTime delay, Event fn, const char* label = nullptr) {
+    at(now_ + delay, std::move(fn), label);
   }
-  bool cancel(EventId id) { return queue_.cancel(id); }
 
   // Runs events with time <= horizon; the clock ends at the horizon even if
   // the queue drained earlier.

@@ -7,13 +7,6 @@
 
 namespace hbp::topo {
 
-const CrossLink* AsInfo::cross_link_to(net::AsId neighbor) const {
-  for (const CrossLink& cl : cross_links) {
-    if (cl.neighbor_as == neighbor) return &cl;
-  }
-  return nullptr;
-}
-
 net::AsId AsMap::create(sim::NodeId head, net::AsId downstream) {
   AsInfo info;
   info.id = static_cast<net::AsId>(as_.size());

@@ -38,10 +38,6 @@ struct AsInfo {
   std::vector<sim::NodeId> switches;
   std::vector<sim::NodeId> hosts;
   std::vector<CrossLink> cross_links;
-
-  // The cross link entering this AS from the given upstream neighbor, or
-  // nullptr if none.
-  const CrossLink* cross_link_to(net::AsId neighbor) const;
 };
 
 class AsMap {

@@ -18,7 +18,6 @@ TcpSender::TcpSender(sim::Simulator& simulator, net::Host& host,
 void TcpSender::connect(sim::Address dst) {
   dst_ = dst;
   established_ = false;
-  ++connection_generation_;
   // Migration keeps the byte-stream progress (the checkpointed state) but
   // restarts congestion control from slow start — the Section 5.3 cost.
   snd_nxt_ = snd_una_;
@@ -28,10 +27,7 @@ void TcpSender::connect(sim::Address dst) {
   in_recovery_ = false;
   rto_ = params_.initial_rto;
   rtt_sample_valid_ = false;
-  if (rto_armed_) {
-    simulator_.cancel(rto_event_);
-    rto_armed_ = false;
-  }
+  ++rto_generation_;  // disarm
   send_syn();
 }
 
@@ -67,10 +63,7 @@ void TcpSender::on_receive(const sim::Packet& p) {
 void TcpSender::on_syn_ack() {
   if (established_) return;
   established_ = true;
-  if (rto_armed_) {
-    simulator_.cancel(rto_event_);
-    rto_armed_ = false;
-  }
+  ++rto_generation_;  // disarm
   send_available();
 }
 
@@ -139,10 +132,7 @@ void TcpSender::on_ack(std::int64_t ack) {
       }
     }
     if (snd_nxt_ < snd_una_) snd_nxt_ = snd_una_;
-    if (rto_armed_) {
-      simulator_.cancel(rto_event_);
-      rto_armed_ = false;
-    }
+    ++rto_generation_;  // disarm
     send_available();
     return;
   }
@@ -169,17 +159,13 @@ void TcpSender::on_ack(std::int64_t ack) {
 }
 
 void TcpSender::arm_rto() {
-  if (rto_armed_) {
-    simulator_.cancel(rto_event_);
-  }
-  rto_armed_ = true;
-  const auto generation = connection_generation_;
-  rto_event_ = simulator_.after(
+  // Events cannot be cancelled: a re-armed or disarmed timer still fires,
+  // and the generation check turns that firing into a no-op.
+  const auto generation = ++rto_generation_;
+  simulator_.after(
       rto_,
       [this, generation] {
-        if (generation != connection_generation_) return;
-        rto_armed_ = false;
-        on_rto();
+        if (generation == rto_generation_) on_rto();
       },
       "transport.tcp.rto");
 }

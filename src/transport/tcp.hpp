@@ -83,8 +83,9 @@ class TcpSender {
   std::int64_t recovery_point_ = 0;
 
   sim::SimTime rto_;
-  sim::EventId rto_event_ = 0;
-  bool rto_armed_ = false;
+  // Bumped by every arm and every disarm of the retransmit timer; a timer
+  // event fires on_rto() only if it still carries the current value.
+  std::uint64_t rto_generation_ = 0;
   double srtt_ = 0.0;
   double rttvar_ = 0.0;
   bool have_rtt_ = false;
@@ -97,7 +98,6 @@ class TcpSender {
   std::uint64_t retransmits_ = 0;
   std::uint64_t timeouts_ = 0;
   std::uint64_t handshakes_ = 0;
-  std::uint64_t connection_generation_ = 0;
 };
 
 // Receiver: acknowledges every arriving segment with the cumulative

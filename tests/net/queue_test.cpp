@@ -101,16 +101,5 @@ TEST(RedQueue, DequeueFifo) {
   EXPECT_EQ(q.dequeue()->uid, 2u);
 }
 
-TEST(QueueFactory, DroptailFactoryProducesIndependentQueues) {
-  auto factory = droptail_factory(1000);
-  auto a = factory();
-  auto b = factory();
-  EXPECT_TRUE(a->enqueue(packet(900)));
-  EXPECT_TRUE(b->enqueue(packet(900)));
-  EXPECT_FALSE(a->enqueue(packet(900)));
-  EXPECT_EQ(a->drops(), 1u);
-  EXPECT_EQ(b->drops(), 0u);
-}
-
 }  // namespace
 }  // namespace hbp::net

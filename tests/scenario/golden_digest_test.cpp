@@ -131,7 +131,7 @@ TEST(GoldenDigest, StringProgressiveOnOff) {
 }
 
 // E4 (Section 8.3): the full tree scenario with the HBP defense.
-TEST(GoldenDigest, TreeHbpSmall) {
+TreeExperimentConfig tree_hbp_small_config() {
   TreeExperimentConfig config;
   config.scheme = Scheme::kHbp;
   config.tree.leaf_count = 60;
@@ -142,16 +142,32 @@ TEST(GoldenDigest, TreeHbpSmall) {
   config.attack_start = 5.0;
   config.attack_end = 25.0;
   config.epoch_seconds = 5.0;
-  const TreeResult r = run_tree_experiment(config, 7);
+  return config;
+}
+
+Entries tree_entries(const TreeResult& r) {
+  return {
+      {"trace_digest", hex64(r.trace_digest)},
+      {"events_executed", dec64(r.events_executed)},
+      {"captured", dec64(r.captured)},
+      {"false_captures", dec64(r.false_captures)},
+      {"mean_client_throughput", real(r.mean_client_throughput)},
+      {"control_messages", dec64(r.control_messages)},
+  };
+}
+
+TEST(GoldenDigest, TreeHbpSmall) {
   check_golden("tree_hbp_small.txt",
-               {
-                   {"trace_digest", hex64(r.trace_digest)},
-                   {"events_executed", dec64(r.events_executed)},
-                   {"captured", dec64(r.captured)},
-                   {"false_captures", dec64(r.false_captures)},
-                   {"mean_client_throughput", real(r.mean_client_throughput)},
-                   {"control_messages", dec64(r.control_messages)},
-               });
+               tree_entries(run_tree_experiment(tree_hbp_small_config(), 7)));
+}
+
+// The same tree with bulk TCP downloads (Section 3's TCP damage), so the
+// retransmit timer's arm/disarm/timeout paths are pinned too.
+TEST(GoldenDigest, TreeTcpSmall) {
+  TreeExperimentConfig config = tree_hbp_small_config();
+  config.tcp_downloads = 2;
+  check_golden("tree_tcp_small.txt",
+               tree_entries(run_tree_experiment(config, 7)));
 }
 
 }  // namespace

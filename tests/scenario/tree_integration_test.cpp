@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
+
+#include "scenario/string_experiment.hpp"
 
 namespace hbp::scenario {
 namespace {
@@ -297,7 +300,8 @@ TEST(TreeExperiment, ReplicatedSummaryAggregates) {
 
 // validate() names the first input the scenario cannot run with; each
 // rejected value used to reach an HBP_ASSERT abort.
-bool rejects(const TreeExperimentConfig& config, const std::string& field) {
+template <typename Config>
+bool rejects(const Config& config, const std::string& field) {
   const std::string error = config.validate();
   return error.find(field) != std::string::npos;
 }
@@ -348,6 +352,39 @@ TEST(TreeExperimentConfig, ValidateRejectsKActiveOutOfRange) {
   // Only HBP runs the schedule with k_active.
   config.scheme = Scheme::kPushback;
   EXPECT_EQ(config.validate(), "");
+}
+
+TEST(StringExperimentConfig, ValidateAcceptsDefaultsAndZeroHorizon) {
+  StringExperimentConfig config;
+  EXPECT_EQ(config.validate(), "");
+  config.p = 1.0;
+  config.tau = 0.0;
+  config.horizon_seconds = 0.0;
+  EXPECT_EQ(config.validate(), "");
+}
+
+TEST(StringExperimentConfig, ValidateRejectsEachBadInput) {
+  const auto with = [](auto change) {
+    StringExperimentConfig config;
+    change(config);
+    return config;
+  };
+  using C = StringExperimentConfig&;
+  EXPECT_TRUE(rejects(with([](C c) { c.m = 0.0; }), "m (epoch length)"));
+  EXPECT_TRUE(rejects(with([](C c) { c.m = std::nan(""); }), "m (epoch"));
+  EXPECT_TRUE(rejects(with([](C c) { c.p = 0.0; }), "p must be in (0, 1]"));
+  EXPECT_TRUE(rejects(with([](C c) { c.p = 1.5; }), "p must be in (0, 1]"));
+  EXPECT_TRUE(rejects(with([](C c) { c.h = 0; }), "h must be at least 1"));
+  EXPECT_TRUE(
+      rejects(with([](C c) { c.attacker_rate_bps = 0.0; }), "attacker_rate"));
+  EXPECT_TRUE(rejects(with([](C c) { c.packet_size = 0; }), "packet_size"));
+  EXPECT_TRUE(rejects(with([](C c) { c.tau = -0.1; }), "tau"));
+  EXPECT_TRUE(
+      rejects(with([](C c) { c.horizon_seconds = -1.0; }), "horizon_seconds"));
+  EXPECT_TRUE(rejects(with([](C c) { c.control_loss_probability = 1.0; }),
+                      "control_loss_probability"));
+  EXPECT_TRUE(rejects(with([](C c) { c.control_loss_probability = -0.1; }),
+                      "control_loss_probability"));
 }
 
 }  // namespace

@@ -55,47 +55,6 @@ TEST(EventQueue, NextTimeReportsEarliest) {
   EXPECT_EQ(q.next_time(), SimTime::seconds(4));
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  bool ran = false;
-  const EventId id = q.push(SimTime::seconds(1), [&] { ran = true; });
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(ran);
-}
-
-TEST(EventQueue, CancelFiredEventFails) {
-  EventQueue q;
-  const EventId id = q.push(SimTime::seconds(1), [] {});
-  q.pop().fn();
-  EXPECT_FALSE(q.cancel(id));
-}
-
-TEST(EventQueue, CancelTwiceFails) {
-  EventQueue q;
-  const EventId id = q.push(SimTime::seconds(1), [] {});
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));
-}
-
-TEST(EventQueue, CancelUnknownIdFails) {
-  EventQueue q;
-  EXPECT_FALSE(q.cancel(12345));
-}
-
-TEST(EventQueue, CancelledEventsSkippedAmongLive) {
-  EventQueue q;
-  std::vector<int> order;
-  q.push(SimTime::seconds(1), [&] { order.push_back(1); });
-  const EventId id = q.push(SimTime::seconds(2), [&] { order.push_back(2); });
-  q.push(SimTime::seconds(3), [&] { order.push_back(3); });
-  q.cancel(id);
-  EXPECT_EQ(q.size(), 2u);
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
-}
-
 // How far past the forward-moving clock a push lands.  kTied packs pushes
 // within 100 ns so equal times (and with them the insertion-sequence tie
 // break) are common; kNear clusters them within 1 ms, kFar within 1 s and
@@ -116,8 +75,8 @@ std::int64_t push_gap(PushShape shape, util::Rng& rng) {
   return static_cast<std::int64_t>(rng.below(bound));
 }
 
-// Reference-model property test: random interleavings of push/pop/cancel
-// against a plain list of (time, seq) entries.  Every pop must return the
+// Reference-model property test: random interleavings of push/pop against a
+// plain list of (time, seq) entries.  Every pop must return the
 // model's exact minimum entry — same time AND same payload — and the popped
 // stream, folded into a TraceDigest as one record per pop (time, payload as
 // the id), must equal the model's stream.
@@ -132,10 +91,8 @@ TEST_P(EventQueueModelSweep, MatchesReferenceModel) {
   struct Entry {
     std::int64_t at;
     std::uint64_t seq;  // doubles as the payload
-    EventId id;
   };
   std::vector<Entry> model;
-  std::vector<EventId> ids;  // every id ever issued, live or not
   std::vector<std::uint64_t> popped;
   TraceDigest queue_digest;
   TraceDigest model_digest;
@@ -161,23 +118,13 @@ TEST_P(EventQueueModelSweep, MatchesReferenceModel) {
   };
 
   for (int step = 0; step < 5000; ++step) {
-    const auto op = rng.below(10);
-    if (op < 5) {  // push, never in the past
+    if (rng.below(10) < 5) {  // push, never in the past
       const std::int64_t t = clock + push_gap(shape, rng);
       const std::uint64_t payload = seq++;
-      const EventId id =
-          q.push(SimTime(t), [&popped, payload] { popped.push_back(payload); });
-      model.push_back({t, payload, id});
-      ids.push_back(id);
-    } else if (op < 8) {
+      q.push(SimTime(t), [&popped, payload] { popped.push_back(payload); });
+      model.push_back({t, payload});
+    } else {
       ASSERT_NO_FATAL_FAILURE(pop_one());
-    } else {  // cancel a random (possibly stale) id
-      if (ids.empty()) continue;
-      const EventId id = ids[rng.below(ids.size())];
-      const auto it = std::find_if(model.begin(), model.end(),
-                                   [&](const Entry& e) { return e.id == id; });
-      ASSERT_EQ(q.cancel(id), it != model.end());
-      if (it != model.end()) model.erase(it);
     }
     ASSERT_EQ(q.size(), model.size());
   }
@@ -196,34 +143,19 @@ INSTANTIATE_TEST_SUITE_P(
                                          PushShape::kFar, PushShape::kHuge,
                                          PushShape::kMixed)));
 
-// Lazy cancellation must not let bookkeeping grow without bound: stale
-// ordering records are compacted once they outnumber the live ones, and
-// slots recycle through the free list instead of accumulating.
-TEST(EventQueue, CancelChurnStaysBounded) {
+// Popped slots recycle through the free list: churn at a bounded depth
+// never grows the slab past the peak number of pending events.
+TEST(EventQueue, PushPopChurnReusesSlots) {
   util::Rng rng(5);
   EventQueue q;
   constexpr std::size_t kBatch = 200;
-  std::vector<EventId> ids;
   for (int round = 0; round < 300; ++round) {
-    ids.clear();
     for (std::size_t i = 0; i < kBatch; ++i) {
-      ids.push_back(q.push(
-          SimTime(static_cast<std::int64_t>(rng.below(1'000'000'000))), [] {}));
+      q.push(SimTime(static_cast<std::int64_t>(rng.below(1'000'000'000))),
+             [] {});
     }
-    // Cancel everything we just scheduled, in random order.
-    while (!ids.empty()) {
-      const auto idx = rng.below(ids.size());
-      EXPECT_TRUE(q.cancel(ids[idx]));
-      ids[idx] = ids.back();
-      ids.pop_back();
-      // Invariant after every cancel: stale records never exceed
-      // max(live, compaction threshold).
-      ASSERT_LE(q.stale_items(), std::max<std::size_t>(64, q.size()));
-    }
-    ASSERT_TRUE(q.empty());
-    // All slots ever needed fit the per-round peak; churn adds none.
+    while (!q.empty()) q.pop().fn();
     ASSERT_LE(q.slot_capacity(), kBatch);
-    ASSERT_LE(q.backlog_items(), std::max<std::size_t>(64, q.size()));
   }
 }
 

@@ -54,15 +54,6 @@ TEST(Simulator, EventsChainDeterministically) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(Simulator, CancelScheduledEvent) {
-  Simulator s;
-  bool ran = false;
-  const EventId id = s.at(SimTime::seconds(1), [&] { ran = true; });
-  EXPECT_TRUE(s.cancel(id));
-  s.run_all();
-  EXPECT_FALSE(ran);
-}
-
 TEST(SimulatorDeathTest, SchedulingInThePastAborts) {
   Simulator s;
   s.at(SimTime::seconds(5), [] {});

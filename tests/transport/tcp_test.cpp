@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
 
 #include "net/network.hpp"
 #include "net/router.hpp"
@@ -211,6 +212,26 @@ TEST_F(TcpFixture, TwoSendersShareOneReceiver) {
   EXPECT_EQ(receiver->total_bytes_delivered(),
             receiver->bytes_delivered(client->address()) +
                 receiver->bytes_delivered(client2.address()));
+}
+
+// Events cannot be cancelled: every ACK that re-arms the retransmit timer
+// leaves the previous timer event pending, and it still fires.  Over a
+// loss-free transfer those stale firings must all be no-ops.
+TEST_F(TcpFixture, StaleRetransmitTimersFireAsNoOps) {
+  build(8e6, sim::SimTime::millis(5), 10'000'000);  // queue never overflows
+  simulator->enable_profiling();
+  sender->connect(server->address());
+  simulator->run_until(sim::SimTime::seconds(12));
+  EXPECT_GT(receiver->total_bytes_delivered(), 5'000'000);
+  EXPECT_EQ(sender->retransmits(), 0u);  // nothing was lost
+  EXPECT_EQ(sender->timeouts(), 0u);
+  std::uint64_t rto_dispatches = 0;
+  for (const auto& stats : simulator->profiler()->by_type()) {
+    if (std::string_view(stats.label) == "transport.tcp.rto") {
+      rto_dispatches = stats.count;
+    }
+  }
+  EXPECT_GT(rto_dispatches, 0u);
 }
 
 }  // namespace
