@@ -18,7 +18,10 @@ int main(int argc, char** argv) {
 
   config.scheme = scenario::Scheme::kHbp;
   config.n_attackers = 25;
-  bench::exit_if_invalid(config.validate());
+  for (const double f : fractions) {
+    config.hbp_deploy_fraction = f;
+    bench::exit_if_invalid(config.validate());
+  }
 
   util::print_banner("Ablation — partial deployment of honeypot "
                      "back-propagation (fraction of ASs with an HSM)");

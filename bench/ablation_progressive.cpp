@@ -15,7 +15,7 @@
 int main(int argc, char** argv) {
   using namespace hbp;
   util::Flags flags(argc, argv);
-  const int runs = static_cast<int>(flags.get_int("runs", 6));
+  const int runs = bench::get_run_count(flags, "runs", 6);
   const int h = static_cast<int>(flags.get_int("h", 6));
   const double t_off = flags.get_double("t_off", 7.0);
   const auto t_ons = flags.get_double_list("t_on", {1.5, 3.0, 6.0, 12.0, 25.0});

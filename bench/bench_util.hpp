@@ -97,6 +97,27 @@ inline scenario::TreeExperimentConfig default_tree_config() {
   return config;
 }
 
+// Rejects a config built from flags before it can reach an HBP_ASSERT deep
+// in a run: `error` is what the config's validate() returned, and a
+// non-empty one prints `invalid config: <error>` and exits 2.
+inline void exit_if_invalid(const std::string& error) {
+  if (error.empty()) return;
+  std::fprintf(stderr, "invalid config: %s\n", error.c_str());
+  std::exit(2);
+}
+
+// Reads a replication count flag (--seeds, --runs).  Fewer than one run
+// would print a table of empty averages, so it is rejected like a bad config.
+inline int get_run_count(util::Flags& flags, const std::string& key,
+                         int fallback) {
+  const std::int64_t count = flags.get_int(key, fallback);
+  if (count < 1) {
+    exit_if_invalid("--" + key + " must be at least 1 (got " +
+                    std::to_string(count) + ")");
+  }
+  return static_cast<int>(count);
+}
+
 // Applies the shared sweep flags: --leaves, --seeds, --seed.
 struct CommonFlags {
   int seeds = 3;
@@ -110,18 +131,9 @@ inline CommonFlags apply_common_flags(util::Flags& flags,
                                              static_cast<std::int64_t>(
                                                  config.tree.leaf_count)));
   CommonFlags out;
-  out.seeds = static_cast<int>(flags.get_int("seeds", out.seeds));
+  out.seeds = get_run_count(flags, "seeds", out.seeds);
   out.base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   return out;
-}
-
-// Rejects a config built from flags before it can reach an HBP_ASSERT deep
-// in a run: `error` is what the config's validate() returned, and a
-// non-empty one prints `invalid config: <error>` and exits 2.
-inline void exit_if_invalid(const std::string& error) {
-  if (error.empty()) return;
-  std::fprintf(stderr, "invalid config: %s\n", error.c_str());
-  std::exit(2);
 }
 
 }  // namespace hbp::bench

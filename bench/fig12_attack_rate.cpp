@@ -21,7 +21,10 @@ int main(int argc, char** argv) {
       flags.get_double_list("rates_mbps", {0.1, 0.25, 0.5, 1.0, 2.0});
   bench::BenchReport report("fig12_attack_rate", flags);
   flags.finish();
-  bench::exit_if_invalid(config.validate());
+  for (const double rate : rates) {
+    config.attacker_rate_bps = rate * 1e6;
+    bench::exit_if_invalid(config.validate());
+  }
 
   util::print_banner("Fig. 12 (reconstructed) — client throughput vs attack "
                      "rate per host (25 attackers)");

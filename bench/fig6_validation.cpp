@@ -60,7 +60,7 @@ void sweep(const char* title, const char* column,
 int main(int argc, char** argv) {
   using namespace hbp;
   util::Flags flags(argc, argv);
-  const int runs = static_cast<int>(flags.get_int("runs", 10));
+  const int runs = bench::get_run_count(flags, "runs", 10);
   const double tau = flags.get_double("tau", 0.3);
   const double rate = flags.get_double("rate_mbps", 0.1) * 1e6;
   bench::BenchReport report("fig6_validation", flags);

@@ -13,18 +13,14 @@ Link::Link(sim::Simulator& simulator, Network& network, sim::NodeId from_node,
       to_node_(to_node),
       to_port_(to_port),
       capacity_bps_(params.capacity_bps),
-      delay_(params.delay) {
+      delay_(params.delay),
+      queue_(params.queue_bytes, params.red) {
   HBP_ASSERT(params.capacity_bps > 0);
-  if (params.queue_factory) {
-    queue_ = params.queue_factory();
-  } else {
-    queue_ = std::make_unique<DropTailQueue>(params.queue_bytes);
-  }
 }
 
 void Link::send(sim::Packet&& p) {
   const std::uint64_t uid = p.uid;
-  if (!queue_->enqueue(std::move(p))) {
+  if (!queue_.enqueue(std::move(p))) {
     // Dropped; counted by the queue, recorded here.
     simulator_.record({simulator_.now(), sim::TraceVerb::kQueueDrop,
                        from_node_, uid, 0, to_node_, to_port_});
@@ -36,19 +32,18 @@ void Link::send(sim::Packet&& p) {
 }
 
 void Link::start_transmission() {
-  auto next = queue_->dequeue();
-  if (!next) {
+  if (queue_.empty()) {
     transmitting_ = false;
     return;
   }
   transmitting_ = true;
+  sim::Packet next = queue_.pop();
   simulator_.record({simulator_.now(), sim::TraceVerb::kDequeue,
-                     from_node_, next->uid, 0, to_node_, to_port_});
-  const sim::SimTime tx = sim::transmission_time(next->size_bytes, capacity_bps_);
+                     from_node_, next.uid, 0, to_node_, to_port_});
+  const sim::SimTime tx = sim::transmission_time(next.size_bytes, capacity_bps_);
   // Delivery after serialization + propagation; the transmitter frees up
   // after serialization only.
-  sim::Packet delivered_packet = std::move(*next);
-  auto deliver = [this, p = std::move(delivered_packet)]() mutable {
+  auto deliver = [this, p = std::move(next)]() mutable {
     ++delivered_;
     bytes_delivered_ += p.size_bytes;
     network_.deliver(to_node_, std::move(p), to_port_);

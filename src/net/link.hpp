@@ -1,9 +1,10 @@
-// A unidirectional link: output queue + serialization at `capacity_bps` +
-// fixed propagation delay.  Network::connect() creates one per direction.
+// A unidirectional link: output queue (held by value: drop-tail, or RED
+// when LinkParams::red is set) + serialization at `capacity_bps` + fixed
+// propagation delay.  Network::connect() creates one per direction.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 
 #include "net/queue.hpp"
 #include "sim/packet.hpp"
@@ -16,8 +17,8 @@ struct LinkParams {
   double capacity_bps = 10e6;
   sim::SimTime delay = sim::SimTime::millis(1);
   std::int64_t queue_bytes = 64'000;
-  // Optional custom queue; when unset a DropTailQueue(queue_bytes) is used.
-  QueueFactory queue_factory;
+  // RED admission on the output queue; drop-tail when unset.
+  std::optional<RedParams> red;
 };
 
 class Network;
@@ -34,8 +35,8 @@ class Link {
   int to_port() const { return to_port_; }
   double capacity_bps() const { return capacity_bps_; }
   sim::SimTime delay() const { return delay_; }
-  PacketQueue& queue() { return *queue_; }
-  const PacketQueue& queue() const { return *queue_; }
+  PacketQueue& queue() { return queue_; }
+  const PacketQueue& queue() const { return queue_; }
 
   std::uint64_t packets_delivered() const { return delivered_; }
   std::uint64_t bytes_delivered() const { return bytes_delivered_; }
@@ -50,7 +51,7 @@ class Link {
   int to_port_;
   double capacity_bps_;
   sim::SimTime delay_;
-  std::unique_ptr<PacketQueue> queue_;
+  PacketQueue queue_;
   bool transmitting_ = false;
   std::uint64_t delivered_ = 0;
   std::uint64_t bytes_delivered_ = 0;

@@ -11,28 +11,20 @@ namespace hbp::pushback {
 PushbackAgent::PushbackAgent(PushbackSystem& system, net::Router& router)
     : system_(system), router_(router) {
   ports_.resize(router.port_count());
+  open_window();
   router_.add_filter(this);
   router_.add_tap(this);
-  // The queues keep non-owning refs to these thunks; reserve so push_back
-  // never relocates them.
-  drop_thunks_.reserve(router.port_count());
-  for (std::size_t p = 0; p < router.port_count(); ++p) {
-    drop_thunks_.push_back(DropThunk{this, p});
-    system_.network()
-        .link(router.id(), static_cast<int>(p))
-        .queue()
-        .set_drop_observer(drop_thunks_.back());
-  }
 }
 
 PushbackAgent::~PushbackAgent() {
   router_.remove_filter(this);
   router_.remove_tap(this);
-  for (std::size_t p = 0; p < router_.port_count(); ++p) {
-    system_.network()
-        .link(router_.id(), static_cast<int>(p))
-        .queue()
-        .set_drop_observer({});
+}
+
+void PushbackAgent::open_window() {
+  for (std::size_t p = 0; p < ports_.size(); ++p) {
+    const auto& link = system_.network().link(router_.id(), static_cast<int>(p));
+    ports_[p] = PortWindow{0, link.queue().dropped_bytes()};
   }
 }
 
@@ -80,7 +72,9 @@ void PushbackAgent::detect_congestion() {
     const auto& link = system_.network().link(router_.id(), static_cast<int>(p));
     const double capacity = link.capacity_bps();
     const double drop_fraction =
-        static_cast<double>(win.dropped_bytes) / offered;
+        static_cast<double>(link.queue().dropped_bytes() -
+                            win.queue_dropped_bytes_at_open) /
+        offered;
     const double offered_bps = offered * 8.0 / interval_s;
 
     const bool congested =
@@ -264,7 +258,7 @@ void PushbackAgent::on_timer() {
   }
 
   // Roll the window.
-  for (auto& port : ports_) port = PortWindow{};
+  open_window();
   bytes_by_agg_outport_.clear();
   bytes_by_agg_inport_.clear();
   limited_bytes_.clear();

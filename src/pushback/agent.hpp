@@ -91,17 +91,8 @@ class PushbackAgent final : public net::PacketFilter, public net::ForwardTap {
  private:
   struct PortWindow {
     std::uint64_t arrived_bytes = 0;   // offered to the output queue
-    std::uint64_t dropped_bytes = 0;   // dropped by the output queue
-  };
-  // Stored target for the per-port queue drop-observer ref: lives in
-  // drop_thunks_ (reserved once in the constructor) for the agent's lifetime.
-  struct DropThunk {
-    PushbackAgent* agent;
-    std::size_t port;
-    void operator()(const sim::Packet& dropped) const {
-      agent->ports_[port].dropped_bytes +=
-          static_cast<std::uint64_t>(dropped.size_bytes);
-    }
+    // The output queue's dropped_bytes() when the window opened.
+    std::uint64_t queue_dropped_bytes_at_open = 0;
   };
   struct Session {
     double limit_bps = 0.0;
@@ -119,11 +110,13 @@ class PushbackAgent final : public net::PacketFilter, public net::ForwardTap {
   void detect_congestion();
   void propagate(AggregateKey agg, Session& session);
   void remove_session(AggregateKey agg, Session& session);
+  // Starts a window: zeroes the arrival counts and notes each output
+  // queue's drop total, which detect_congestion() subtracts.
+  void open_window();
 
   PushbackSystem& system_;
   net::Router& router_;
   std::vector<PortWindow> ports_;
-  std::vector<DropThunk> drop_thunks_;
   // Window accounting keyed by aggregate signature (destination prefix).
   std::map<std::pair<AggregateKey, int>, std::uint64_t> bytes_by_agg_outport_;
   std::map<std::pair<AggregateKey, int>, std::uint64_t> bytes_by_agg_inport_;

@@ -61,6 +61,14 @@ std::string TreeExperimentConfig::validate() const {
                   "leaf_count (%zu) must hold n_clients (%d) + n_attackers "
                   "(%d)",
                   tree.leaf_count, n_clients, n_attackers);
+  } else if (!(attacker_rate_bps > 0)) {
+    std::snprintf(buf, sizeof buf,
+                  "attacker_rate_bps must be positive (got %g)",
+                  attacker_rate_bps);
+  } else if (!(hbp_deploy_fraction >= 0 && hbp_deploy_fraction <= 1)) {
+    std::snprintf(buf, sizeof buf,
+                  "hbp_deploy_fraction must be in [0, 1] (got %g)",
+                  hbp_deploy_fraction);
   } else if (scheme == Scheme::kHbp &&
              (k_active < 1 || k_active > tree.server_count)) {
     std::snprintf(buf, sizeof buf,

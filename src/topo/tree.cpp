@@ -116,13 +116,9 @@ Tree build_tree(net::Network& network, util::Rng& rng, const TreeParams& params,
   bottleneck.delay = params.bottleneck_delay;
   bottleneck.queue_bytes = params.bottleneck_queue_bytes;
   if (params.red_bottleneck) {
-    net::RedQueue::Params red;
-    red.capacity_bytes = params.bottleneck_queue_bytes;
-    red.min_th_bytes = 0.25 * static_cast<double>(params.bottleneck_queue_bytes);
-    red.max_th_bytes = 0.75 * static_cast<double>(params.bottleneck_queue_bytes);
-    bottleneck.queue_factory = [red] {
-      return std::make_unique<net::RedQueue>(red);
-    };
+    const auto queue_bytes = static_cast<double>(params.bottleneck_queue_bytes);
+    bottleneck.red = net::RedParams{.min_th_bytes = 0.25 * queue_bytes,
+                                    .max_th_bytes = 0.75 * queue_bytes};
   }
 
   net::LinkParams core;

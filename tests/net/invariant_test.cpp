@@ -1,12 +1,11 @@
 // InvariantChecker: a healthy network always passes; deliberately broken
-// queue disciplines (lost packets, corrupted byte ledger) are detected.
+// queues (lost packets, corrupted byte ledger) are detected.
 #include "net/invariant_checker.hpp"
 
 #include <gtest/gtest.h>
 
-#include <deque>
-#include <memory>
-#include <optional>
+#include <string>
+#include <vector>
 
 #include "net/host.hpp"
 #include "net/network.hpp"
@@ -14,66 +13,31 @@
 #include "sim/simulator.hpp"
 
 namespace hbp::net {
+
+// Breaks a queue the ways a faulty discipline would.
+struct PacketQueueTestPeer {
+  // The head packet vanishes without a drop record while the byte ledger
+  // stays consistent, so only the quiescent conservation check
+  // (transmitted == delivered + drops) can notice.
+  static void lose_head(PacketQueue& q) {
+    q.bytes_ -= q.q_.front().size_bytes;
+    q.q_.pop_front();
+  }
+  // The byte ledger drifts from the stored packets: an emptied queue
+  // reports non-zero bytes (always-on check) and the strict recount
+  // disagrees with the ledger.
+  static void skew_ledger(PacketQueue& q) { q.bytes_ += 1000; }
+};
+
 namespace {
 
-// Accepts every packet into its accounting but silently discards every
-// second one — packets vanish without a drop record, so the quiescent
-// conservation check (transmitted == delivered + drops) must fire.
-class LossyQueue final : public PacketQueue {
- public:
-  bool enqueue(sim::Packet&& p) override {
-    count_accept();
-    if (++seen_ % 2 == 0) return true;  // pretend accepted, never stored
-    bytes_ += p.size_bytes;
-    q_.push_back(std::move(p));
-    return true;
+bool mentions(const std::vector<std::string>& violations,
+              const std::string& text) {
+  for (const std::string& v : violations) {
+    if (v.find(text) != std::string::npos) return true;
   }
-  std::optional<sim::Packet> dequeue() override {
-    if (q_.empty()) return std::nullopt;
-    sim::Packet p = std::move(q_.front());
-    q_.pop_front();
-    bytes_ -= p.size_bytes;
-    return p;
-  }
-  std::int64_t byte_length() const override { return bytes_; }
-  std::size_t packet_length() const override { return q_.size(); }
-
- private:
-  std::uint64_t seen_ = 0;
-  std::int64_t bytes_ = 0;
-  std::deque<sim::Packet> q_;
-};
-
-// Forgets to subtract bytes on dequeue: the ledger drifts upward, so an
-// emptied queue reports non-zero bytes (always-on check) and the strict
-// recount disagrees with the ledger.
-class MiscountQueue final : public PacketQueue {
- public:
-  bool enqueue(sim::Packet&& p) override {
-    count_accept();
-    bytes_ += p.size_bytes;
-    q_.push_back(std::move(p));
-    return true;
-  }
-  std::optional<sim::Packet> dequeue() override {
-    if (q_.empty()) return std::nullopt;
-    sim::Packet p = std::move(q_.front());
-    q_.pop_front();
-    // bug under test: bytes_ not decremented
-    return p;
-  }
-  std::int64_t byte_length() const override { return bytes_; }
-  std::size_t packet_length() const override { return q_.size(); }
-  std::int64_t recount_bytes() const override {
-    std::int64_t total = 0;
-    for (const sim::Packet& p : q_) total += p.size_bytes;
-    return total;
-  }
-
- private:
-  std::int64_t bytes_ = 0;
-  std::deque<sim::Packet> q_;
-};
+  return false;
+}
 
 struct Net {
   static void sink(const sim::Packet&) {}
@@ -101,6 +65,9 @@ struct Net {
 
   sim::Simulator simulator;
   Network network;
+  // Output queue of the first hop, a -> r.
+  PacketQueue& first_queue() { return network.link(a->id(), 0).queue(); }
+
   Host* a = nullptr;
   Host* b = nullptr;
 };
@@ -149,50 +116,51 @@ TEST(InvariantChecker, StrictModePassesOnHealthyQueues) {
 }
 
 TEST(InvariantChecker, DetectsSilentlyLostPackets) {
-  LinkParams lossy;
-  lossy.queue_factory = [] { return std::make_unique<LossyQueue>(); };
-  Net net(lossy);
+  Net net;
   net.blast(10);
+  PacketQueueTestPeer::lose_head(net.first_queue());
   net.simulator.run_all();
   InvariantChecker checker(net.network);
   const auto violations = checker.check_quiescent();
   EXPECT_FALSE(violations.empty());
+  EXPECT_TRUE(mentions(violations, "still in flight in a quiescent network"));
 }
 
 TEST(InvariantChecker, DetectsCorruptByteLedger) {
-  LinkParams miscounting;
-  miscounting.queue_factory = [] { return std::make_unique<MiscountQueue>(); };
-  Net net(miscounting);
+  Net net;
   net.blast(5);
+  PacketQueueTestPeer::skew_ledger(net.first_queue());
   net.simulator.run_all();
   // Always-on check: the drained queue still claims bytes.
   InvariantChecker checker(net.network);
-  EXPECT_FALSE(checker.check().empty());
+  const auto violations = checker.check();
+  EXPECT_FALSE(violations.empty());
+  EXPECT_TRUE(mentions(violations, "queue is empty but byte ledger says"));
 }
 
 TEST(InvariantChecker, StrictRecountCatchesLedgerDrift) {
-  LinkParams miscounting;
-  miscounting.queue_factory = [] { return std::make_unique<MiscountQueue>(); };
-  Net net(miscounting);
+  Net net;
   net.blast(20);
+  PacketQueueTestPeer::skew_ledger(net.first_queue());
   // Mid-flight: queues are non-empty, so only the strict recount can see
   // that the ledger disagrees with the stored packets.
   net.simulator.run_until(sim::SimTime::micros(2500));
+  InvariantChecker checker(net.network);
+  EXPECT_TRUE(checker.check().empty());
   InvariantChecker::Options opts;
   opts.strict = true;
   InvariantChecker strict(net.network, opts);
-  EXPECT_FALSE(strict.check().empty());
+  const auto violations = strict.check();
+  EXPECT_FALSE(violations.empty());
+  EXPECT_TRUE(mentions(violations, "!= recounted"));
 }
 
 TEST(InvariantChecker, ExpectOkAbortsOnViolation) {
   EXPECT_DEATH(
       {
-        LinkParams miscounting;
-        miscounting.queue_factory = [] {
-          return std::make_unique<MiscountQueue>();
-        };
-        Net net(miscounting);
+        Net net;
         net.blast(5);
+        PacketQueueTestPeer::skew_ledger(net.first_queue());
         net.simulator.run_all();
         InvariantChecker checker(net.network);
         checker.expect_ok();

@@ -19,6 +19,7 @@
 
 #include "scenario/string_experiment.hpp"
 #include "scenario/tree_experiment.hpp"
+#include "telemetry/registry.hpp"
 
 namespace hbp::scenario {
 namespace {
@@ -168,6 +169,37 @@ TEST(GoldenDigest, TreeTcpSmall) {
   config.tcp_downloads = 2;
   check_golden("tree_tcp_small.txt",
                tree_entries(run_tree_experiment(config, 7)));
+}
+
+// The same tree under Pushback: its congestion detector reads the output
+// queues' drop counters, so the test insists that queues drop and that
+// Pushback reacts.
+TreeResult run_pushback_golden(const std::string& name, bool red_bottleneck) {
+  TreeExperimentConfig config = tree_hbp_small_config();
+  config.scheme = Scheme::kPushback;
+  config.tree.red_bottleneck = red_bottleneck;
+  TreeResult r = run_tree_experiment(config, 7);
+  check_golden(name, tree_entries(r));
+  return r;
+}
+
+void expect_pushback_reacted_to_queue_drops(const TreeResult& r) {
+  EXPECT_GT(r.pushback_requests, 0u);
+  const telemetry::Counter* drops =
+      r.telemetry->find_counter("net.queue.drops");
+  ASSERT_NE(drops, nullptr);
+  EXPECT_GT(drops->value(), 0u);
+}
+
+TEST(GoldenDigest, TreePushbackSmall) {
+  expect_pushback_reacted_to_queue_drops(
+      run_pushback_golden("tree_pushback_small.txt", false));
+}
+
+// With a RED bottleneck, so RED's early drops feed the detector too.
+TEST(GoldenDigest, TreePushbackRedSmall) {
+  expect_pushback_reacted_to_queue_drops(
+      run_pushback_golden("tree_pushback_red_small.txt", true));
 }
 
 }  // namespace

@@ -354,6 +354,30 @@ TEST(TreeExperimentConfig, ValidateRejectsKActiveOutOfRange) {
   EXPECT_EQ(config.validate(), "");
 }
 
+TEST(TreeExperimentConfig, ValidateRejectsNonPositiveAttackerRate) {
+  auto config = small_config();
+  config.attacker_rate_bps = 0.0;
+  EXPECT_TRUE(rejects(config, "attacker_rate_bps must be positive"));
+  config.attacker_rate_bps = -1e6;
+  EXPECT_TRUE(rejects(config, "attacker_rate_bps must be positive"));
+  config.attacker_rate_bps = std::nan("");
+  EXPECT_TRUE(rejects(config, "attacker_rate_bps must be positive"));
+}
+
+TEST(TreeExperimentConfig, ValidateRejectsDeployFractionOutsideUnitRange) {
+  auto config = small_config();
+  config.hbp_deploy_fraction = 0.0;
+  EXPECT_EQ(config.validate(), "");
+  config.hbp_deploy_fraction = 1.0;
+  EXPECT_EQ(config.validate(), "");
+  config.hbp_deploy_fraction = 2.0;
+  EXPECT_TRUE(rejects(config, "hbp_deploy_fraction must be in [0, 1]"));
+  config.hbp_deploy_fraction = -0.1;
+  EXPECT_TRUE(rejects(config, "hbp_deploy_fraction"));
+  config.hbp_deploy_fraction = std::nan("");
+  EXPECT_TRUE(rejects(config, "hbp_deploy_fraction"));
+}
+
 TEST(StringExperimentConfig, ValidateAcceptsDefaultsAndZeroHorizon) {
   StringExperimentConfig config;
   EXPECT_EQ(config.validate(), "");
